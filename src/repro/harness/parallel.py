@@ -72,9 +72,6 @@ class RunSpec:
     config: Optional[SystemConfig] = None
     params: Optional[WorkloadParams] = None
     sanitize: bool = False
-    #: run on the payload-free fast simulation core; ignored (reference
-    #: machine) when ``sanitize`` is set, since observers need the slow path
-    fast: bool = False
     builder: str = ""
     builder_kwargs: Tuple[Tuple[str, object], ...] = ()
     extras: Tuple[Tuple[str, str], ...] = ()
@@ -107,7 +104,6 @@ class RunSpec:
             repr(self.config),
             repr(self.params),
             self.sanitize,
-            self.fast,
             self.builder,
             repr(self.builder_kwargs),
             repr(self.extras),
@@ -185,7 +181,6 @@ def run_cell(spec: RunSpec) -> CellResult:
             spec.scheme,
             spec.config,
             spec.params,
-            fast=spec.fast and not spec.sanitize,
         )
     if spec.sanitize:
         from repro.analysis.sanitizer import Sanitizer

@@ -97,14 +97,13 @@ def build_machine(
     scheme: str,
     config: Optional[SystemConfig] = None,
     params: Optional[WorkloadParams] = None,
-    fast: bool = False,
 ) -> Machine:
     """Build a machine with one scheme and one (or several co-run)
     workloads installed. Accepts a single Table 3 name or a sequence of
     names (co-run experiments install several on disjoint heaps)."""
     config = config or default_config()
     params = params or default_params()
-    machine = Machine(config, make_scheme(scheme), fast_path=fast)
+    machine = Machine(config, make_scheme(scheme))
     names = (workload,) if isinstance(workload, str) else tuple(workload)
     for name in names:
         get_workload(name, params).install(machine)
@@ -117,7 +116,6 @@ def run_once(
     config: Optional[SystemConfig] = None,
     params: Optional[WorkloadParams] = None,
     sanitize: Union[bool, object, None] = None,
-    fast: bool = False,
 ) -> RunResult:
     """Build a machine, install one workload under one scheme, run it.
 
@@ -127,16 +125,10 @@ def run_once(
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
-        fast: use the payload-free fast simulation core. Sanitizing forces
-            the reference machine - the sanitizer is an observer, and the
-            fast core's entry condition is "no observer, no crash window"
-            (docs/PERF.md).
     """
     if sanitize is None:
         sanitize = sanitize_default()
-    if sanitize:
-        fast = False  # observers require the reference (slow) path
-    machine = build_machine(workload, scheme, config, params, fast=fast)
+    machine = build_machine(workload, scheme, config, params)
     if sanitize:
         from repro.analysis.sanitizer import Sanitizer
 

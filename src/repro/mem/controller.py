@@ -56,8 +56,6 @@ class Channel:
         timing: TimingModel,
         pm_image: MemoryImage,
         wpq_entries: int,
-        apply_payloads: bool = True,
-        indexed: bool = False,
         drain_gate: Optional[DrainArbiter] = None,
     ):
         self.index = index
@@ -72,8 +70,6 @@ class Channel:
             drain_watermark=timing.mem.wpq_drain_watermark,
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
             fifo_backpressure=timing.mem.wpq_fifo_backpressure,
-            apply_payloads=apply_payloads,
-            indexed=indexed,
             drain_gate=drain_gate,
         )
 
@@ -89,7 +85,6 @@ class MemorySystem:
         config: SystemConfig,
         scheduler: Scheduler,
         pm_image: MemoryImage,
-        fast: bool = False,
     ):
         self.config = config
         self.scheduler = scheduler
@@ -108,8 +103,6 @@ class MemorySystem:
                 self.timing,
                 pm_image,
                 config.memory.wpq_entries,
-                apply_payloads=not fast,
-                indexed=fast,
                 drain_gate=self.drain_arbiter,
             )
             for i in range(config.memory.num_channels)
@@ -157,7 +150,8 @@ class MemorySystem:
 
     def drop_log_ops_for_rid(self, rid: int) -> int:
         """LPO dropping across channels; equivalent to ``drop_from_wpqs``
-        with the rid/log-kind predicate, but O(answer) on indexed WPQs."""
+        with the rid/log-kind predicate, but O(answer) via the WPQs'
+        per-rid indexes."""
         return sum(ch.wpq.drop_log_ops_for_rid(rid) for ch in self.channels)
 
     def queued_dpo_for(self, data_line: int) -> Optional[PersistOp]:

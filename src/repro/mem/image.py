@@ -88,32 +88,6 @@ class MemoryImage:
         return all(self.read_word(a) == other.read_word(a) for a in addrs)
 
 
-class FastMemoryImage(MemoryImage):
-    """A :class:`MemoryImage` without per-word alignment checks.
-
-    Functionally identical on well-formed traffic (the framework only ever
-    issues word-aligned addresses; the full test suite runs against the
-    checked image). The fast simulation path uses this for the volatile
-    image because ``read_word``/``write_word`` are the two most-called
-    functions in the profile and the modulo guard plus f-string machinery
-    dominates their cost. Misaligned addresses silently truncate here
-    instead of raising - acceptable only because the reference path, which
-    every workload also runs under in CI, still raises.
-    """
-
-    def read_word(self, addr: int) -> int:
-        return self._words.get(addr, 0)
-
-    def write_word(self, addr: int, value: int) -> None:
-        self._words[addr] = value
-
-    def write_range(self, addr: int, values: Iterable[int]) -> None:
-        base = addr & ~(WORD_BYTES - 1)
-        words = self._words
-        for i, value in enumerate(values):
-            words[base + i * WORD_BYTES] = value
-
-
 def snapshot_line(image: MemoryImage, addr: int) -> Dict[int, int]:
     """Snapshot the full cache line containing ``addr`` from ``image``.
 

@@ -426,20 +426,13 @@ class AsapRedoLogging(PersistenceScheme):
                     rid=region.rid,
                 )
             )
-        if self.fast:
-            # Payload-free mode: region.values is only ever read as a DPO
-            # payload, so a None placeholder keeps the control flow (which
-            # keys off region.lines) identical.
-            region.values[line] = None
-            payload = None
-        else:
-            logged = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
-            region.values[line] = logged
-            payload = {entry_addr + (w - line): v for w, v in logged.items()}
-            payload[record.header_addr] = region.rid
-            payload[record.header_word_addr(slot)] = line
+        logged = {
+            w: self.machine.volatile.read_word(w) for w in words_of_line(line)
+        }
+        region.values[line] = logged
+        payload = {entry_addr + (w - line): v for w, v in logged.items()}
+        payload[record.header_addr] = region.rid
+        payload[record.header_word_addr(slot)] = line
         region.outstanding_lpos += 1
         self._last_writer[line] = region.rid
         if self.observer is not None:

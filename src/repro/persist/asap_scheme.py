@@ -46,7 +46,6 @@ class AsapScheme(PersistenceScheme):
             hierarchy=machine.hierarchy,
             volatile=machine.volatile,
             pm_alloc=machine.heap.alloc,
-            fast=self.fast,
         )
         self.engine.on_commit.append(self._notify_commit)
 

@@ -79,16 +79,12 @@ class PersistenceScheme(abc.ABC):
         #: listeners called with a packed region id when a region becomes
         #: durable (commits); the machine's oracle subscribes here.
         self.on_commit: List[Callable[[int], None]] = []
-        #: mirrors ``machine.fast_path`` after attach: schemes elide
-        #: persist-op payloads and undo snapshots when set (docs/PERF.md)
-        self.fast = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, machine: "Machine") -> None:
         """Bind the scheme to a machine (images, hierarchy, controllers)."""
         self.machine = machine
-        self.fast = getattr(machine, "fast_path", False)
 
     @abc.abstractmethod
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:

@@ -92,16 +92,9 @@ class EadrLogging(PersistenceScheme):
             and self.machine.page_table.is_persistent(addr)
             and line not in thread.undo
         ):
-            # Fast mode keeps the membership (first-write detection) but
-            # skips the snapshot: no crash window means no rollback reads.
-            thread.undo[line] = (
-                None
-                if self.fast
-                else {
-                    w: self.machine.volatile.read_word(w)
-                    for w in words_of_line(line)
-                }
-            )
+            thread.undo[line] = {
+                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
+            }
         self.machine.volatile.write_range(addr, values)
         self.machine.hierarchy.access(thread.core_id, addr, True, lambda meta: done())
 

@@ -128,12 +128,9 @@ class HardwareRedoLogging(PersistenceScheme):
                 # A later region re-logged the line: its DPO supersedes ours.
                 self.dpos_filtered += 1
                 continue
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-                }
+            payload = {
+                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
+            }
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -203,13 +200,10 @@ class HardwareRedoLogging(PersistenceScheme):
                     rid=thread.rid,
                 )
             )
-        if self.fast:
-            payload = None
-        else:
-            payload = {
-                entry_addr + (w - line): self.machine.volatile.read_word(w)
-                for w in words_of_line(line)
-            }
+        payload = {
+            entry_addr + (w - line): self.machine.volatile.read_word(w)
+            for w in words_of_line(line)
+        }
         thread.outstanding_lpos += 1
         self._last_writer[line] = thread.rid
 

@@ -146,7 +146,7 @@ class HardwareUndoLogging(PersistenceScheme):
         in_region = thread.nest_depth > 0
         first_write = pm and in_region and line not in thread.lines
         old_snapshot = None
-        if first_write and not self.fast:
+        if first_write:
             old_snapshot = {
                 w: self.machine.volatile.read_word(w) for w in words_of_line(line)
             }
@@ -177,15 +177,12 @@ class HardwareUndoLogging(PersistenceScheme):
                     rid=thread.rid,
                 )
             )
-        if self.fast:
-            payload = None
-        else:
-            payload = {
-                entry_addr + (w - line): old_snapshot.get(w, 0)
-                for w in words_of_line(line)
-            }
-            payload[record.header_addr] = thread.rid
-            payload[record.header_word_addr(slot)] = line
+        payload = {
+            entry_addr + (w - line): old_snapshot.get(w, 0)
+            for w in words_of_line(line)
+        }
+        payload[record.header_addr] = thread.rid
+        payload[record.header_word_addr(slot)] = line
         thread.outstanding += 1
 
         def lpo_drained(_op, rid=thread.rid) -> None:
@@ -245,12 +242,9 @@ class HardwareUndoLogging(PersistenceScheme):
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT
         ls.dirty = False
-        if self.fast:
-            payload = None
-        else:
-            payload = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+        payload = {
+            w: self.machine.volatile.read_word(w) for w in words_of_line(line)
+        }
         meta = self.machine.hierarchy.tags.get(line)
         if meta is not None:
             meta.dirty = False

@@ -112,12 +112,9 @@ class SoftwareLogging(PersistenceScheme):
                 after_fence()
 
         for line in lines:
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-                }
+            payload = {
+                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
+            }
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -168,7 +165,7 @@ class SoftwareLogging(PersistenceScheme):
             pm and in_region and not self.dpo_only and line not in thread.logged
         )
         old_snapshot = None
-        if need_log and not self.fast:
+        if need_log:
             old_snapshot = {
                 w: self.machine.volatile.read_word(w) for w in words_of_line(line)
             }
@@ -195,13 +192,10 @@ class SoftwareLogging(PersistenceScheme):
                         rid=thread.rid,
                     )
                 )
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    entry_addr + (w - line): old_snapshot.get(w, 0)
-                    for w in words_of_line(line)
-                }
+            payload = {
+                entry_addr + (w - line): old_snapshot.get(w, 0)
+                for w in words_of_line(line)
+            }
             # clwb + mfence: the store retires only once the log entry is
             # inside the persistence domain - the software critical path.
             def log_persisted(_op) -> None:

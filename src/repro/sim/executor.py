@@ -131,11 +131,7 @@ class ThreadExecutor:
 
     def _do_write(self, addr: int, values) -> None:
         rid = self.current_rid
-        if (
-            rid is not None
-            and not self.machine.fast_path
-            and self.machine.page_table.is_persistent(addr)
-        ):
+        if rid is not None and self.machine.page_table.is_persistent(addr):
             self.machine.oracle.record_write(rid, addr, values)
         chunks = _split_by_line(addr, values)
 

@@ -6,10 +6,10 @@ from typing import Callable, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import SystemConfig
-from repro.engine import FastScheduler, Scheduler
+from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
-from repro.mem.image import FastMemoryImage, MemoryImage
+from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme
 from repro.runtime.heap import PageTable, PersistentHeap, VolatileHeap
 from repro.runtime.locks import SimLock
@@ -26,48 +26,26 @@ class Machine:
     whole run is driven by :meth:`run`.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        scheme: PersistenceScheme,
-        fast_path: bool = False,
-    ):
-        """
-        Args:
-            fast_path: build the payload-free fast simulation core - no
-                observers, no crash window, no commit oracle. Produces
-                RunResult stats identical to the reference machine (the
-                differential-identity gate enforces this) at a fraction of
-                the cost; crash injection, recovery, ``--sanitize`` and
-                ``--explain`` all require the reference machine
-                (docs/PERF.md).
-        """
+    def __init__(self, config: SystemConfig, scheme: PersistenceScheme):
         self.config = config
-        self.fast_path = fast_path
-        self.scheduler = FastScheduler() if fast_path else Scheduler()
-        self.volatile = (
-            FastMemoryImage("volatile") if fast_path else MemoryImage("volatile")
-        )
+        self.scheduler = Scheduler()
+        self.volatile = MemoryImage("volatile")
         self.pm_image = MemoryImage("pm")
         self.page_table = PageTable()
         self.heap = PersistentHeap(config.address_space, self.page_table)
         self.dram_heap = VolatileHeap(config.address_space)
-        self.memory = MemorySystem(
-            config, self.scheduler, self.pm_image, fast=fast_path
-        )
+        self.memory = MemorySystem(config, self.scheduler, self.pm_image)
         self.hierarchy = CacheHierarchy(
             config,
             self.scheduler,
             self.memory,
             self.volatile,
             self.page_table.is_persistent,
-            fast=fast_path,
         )
         self.scheme = scheme
         self.oracle = CommitOracle()
         scheme.attach(self)
-        if not fast_path:
-            scheme.on_commit.append(self.oracle.on_commit)
+        scheme.on_commit.append(self.oracle.on_commit)
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
         self._next_thread_id = 0
@@ -104,11 +82,8 @@ class Machine:
         durable before the measured (and crash-injected) phase begins.
         """
         self.volatile.write_range(addr, values)
-        if not self.fast_path:
-            # Fast runs never crash or verify against the oracle, so the PM
-            # and committed images are never read.
-            self.pm_image.write_range(addr, values)
-            self.oracle.committed.write_range(addr, values)
+        self.pm_image.write_range(addr, values)
+        self.oracle.committed.write_range(addr, values)
 
     def adopt_image(self, image) -> None:
         """Resume from a recovered PM image (the restart-after-crash flow).

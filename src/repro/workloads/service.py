@@ -26,7 +26,7 @@ This module adds that regime on top of the existing PM-backed stores:
 * **Fixed-bucket histogram**: latencies land in log-spaced buckets (8
   sub-buckets per octave, <= 12.5% relative error) so percentiles are
   pure-integer functions of the counts: byte-identical across ``--jobs``
-  values, cache state, and the reference/fast cores.
+  values and cache state.
 
 Determinism: every random choice (arrivals, key ranks, read/write mix,
 TPC-C item baskets) comes from ``random.Random`` instances seeded from
@@ -192,9 +192,7 @@ class ServiceRecorder:
 
     PUT requests register their upcoming region id before yielding it;
     the scheme's durable-commit notification resolves the id back to the
-    arrival cycle. GET latencies are recorded inline by the worker. The
-    commit hook fires identically on the reference and fast cores, so the
-    filled-in ``RunResult`` fields pass the differential-identity gate.
+    arrival cycle. GET latencies are recorded inline by the worker.
     """
 
     def __init__(self, machine: Machine, params: ServiceParams):

@@ -4,8 +4,8 @@ The serve-bench determinism contract rests on three pure components:
 Zipfian key sampling, Poisson arrival generation, and the fixed-bucket
 latency histogram. Each is checked here in isolation - the end-to-end
 byte-identity across job counts and cache states is pinned in
-tests/integration/test_harness.py, and reference-vs-fast identity in
-tests/integration/test_vectorized_diff.py.
+tests/integration/test_harness.py, and the service cells' RunResult
+digests in tests/integration/test_vectorized_diff.py.
 """
 
 import random
