@@ -25,6 +25,9 @@ class BloomFilter:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
+        self._zeros = bytes(len(self._bits))
+        #: some bit may be set: an insert happened since the last clear
+        self._dirty = False
         self.insertions = 0
         self.clears = 0
 
@@ -46,6 +49,7 @@ class BloomFilter:
     def insert(self, line: int) -> None:
         for pos in self._positions(line):
             self._bits[pos >> 3] |= 1 << (pos & 7)
+        self._dirty = True
         self.insertions += 1
 
     def maybe_contains(self, line: int) -> bool:
@@ -55,8 +59,10 @@ class BloomFilter:
         )
 
     def clear(self) -> None:
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
+        """Reset every bit; counts the call even when nothing was set."""
+        if self._dirty:
+            self._bits[:] = self._zeros
+            self._dirty = False
         self.clears += 1
 
 

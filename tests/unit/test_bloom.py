@@ -19,6 +19,35 @@ def test_bloom_clear():
     assert bf.clears == 1
 
 
+def test_bloom_insert_clear_insert_clear():
+    bf = BloomFilter(1024, 4)
+    bf.insert(640)
+    bf.clear()
+    bf.insert(1280)
+    assert bf.maybe_contains(1280)
+    assert not bf.maybe_contains(640)
+    bf.clear()
+    assert not bf.maybe_contains(1280)
+    assert not any(bf._bits)
+    assert len(bf._bits) == 1024 // 8
+    assert bf.clears == 2
+    assert bf.insertions == 2
+
+
+def test_bloom_clear_with_no_inserts():
+    bf = BloomFilter(1024, 4)
+    bf.clear()
+    bf.clear()
+    assert bf.clears == 2
+    assert not any(bf._bits)
+    bf.insert(640)
+    assert bf.maybe_contains(640)
+    bf.clear()
+    bf.clear()
+    assert not bf.maybe_contains(640)
+    assert bf.clears == 4
+
+
 def test_bloom_mostly_rejects_absent_lines():
     bf = BloomFilter(8 * 1024, 4)
     for i in range(50):
