@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event scheduler."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine import Scheduler
@@ -117,3 +121,125 @@ def test_len_counts_live_events():
     assert len(s) == 2
     ev.cancel()
     assert len(s) == 1
+
+
+def test_after_goes_through_at(monkeypatch):
+    # Tooling that attributes event callbacks hooks only Scheduler.at.
+    calls = []
+    original = Scheduler.at
+
+    def spy(sched, time, fn):
+        calls.append(time)
+        return original(sched, time, fn)
+
+    monkeypatch.setattr(Scheduler, "at", spy)
+    s = Scheduler()
+    s.at(4, lambda: s.after(3, lambda: None))
+    s.run()
+    assert calls == [4, 7]
+
+
+class _HeapModel:
+    """The ordering contract as a plain heap of [time, seq, fn, cancelled]."""
+
+    def __init__(self):
+        self.now, self.seq, self.queue = 0, 0, []
+
+    def at(self, time, fn):
+        ev = [time, self.seq, fn, False]
+        self.seq += 1
+        heapq.heappush(self.queue, ev)
+        return ev
+
+    def after(self, delay, fn):
+        return self.at(self.now + delay, fn)
+
+    def run(self, until=None):
+        while self.queue:
+            if self.queue[0][3]:
+                heapq.heappop(self.queue)
+            elif until is not None and self.queue[0][0] > until:
+                break
+            else:
+                ev = heapq.heappop(self.queue)
+                self.now = ev[0]
+                ev[2]()
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def _cancel(ev):
+    if isinstance(ev, list):
+        ev[3] = True
+    else:
+        ev.cancel()
+
+
+#: one action an event performs when it fires: schedule a child with
+#: at/after at a delay (0 = same-cycle append during the drain), or
+#: cancel the event created ``back`` creations ago (maybe already fired)
+_action = st.one_of(
+    st.tuples(st.sampled_from(["at", "after"]), st.integers(0, 6)),
+    st.tuples(st.just("cancel"), st.integers(0, 8)),
+)
+
+
+def _drive(sched, roots, root_cancels, plan, untils):
+    """Run one schedule; return the firing log and the clock after each run."""
+    log, events, observed = [], [], []
+
+    def perform(action):
+        kind, arg = action
+        if kind == "cancel":
+            if arg < len(events):
+                _cancel(events[-1 - arg])
+        elif len(events) < 120:
+            schedule(kind, arg)
+
+    def schedule(kind, delay):
+        label = len(events)
+
+        def fire():
+            log.append((label, sched.now))
+            for action in plan[label % len(plan)]:
+                perform(action)
+
+        if kind == "at":
+            events.append(sched.at(sched.now + delay, fire))
+        else:
+            events.append(sched.after(delay, fire))
+
+    for kind, time in roots:
+        schedule(kind, time)
+    for back in root_cancels:
+        perform(("cancel", back))
+    for until in untils:
+        sched.run(until=until)
+        observed.append((list(log), sched.now))
+    return observed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.sampled_from(["at", "after"]), st.integers(0, 20)),
+        min_size=1,
+        max_size=8,
+    ),
+    root_cancels=st.lists(st.integers(0, 8), max_size=3),
+    plan=st.lists(st.lists(_action, max_size=3), min_size=1, max_size=6),
+    untils=st.lists(st.one_of(st.none(), st.integers(0, 40)), min_size=1, max_size=3),
+)
+def test_bucket_queue_matches_heap_model(roots, root_cancels, plan, untils):
+    untils = untils + [None]
+    assert _drive(Scheduler(), roots, root_cancels, plan, untils) == _drive(
+        _HeapModel(), roots, root_cancels, plan, untils
+    )
+
+
+def test_cancelled_last_event_does_not_advance_clock():
+    s = Scheduler()
+    s.at(5, lambda: None)
+    s.at(9, lambda: None).cancel()
+    s.run()
+    assert s.now == 5
