@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
@@ -49,7 +49,7 @@ from repro.core.thread_state import ThreadStateRegisters
 from repro.engine import Scheduler, Signal
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
-from repro.mem.image import MemoryImage
+from repro.mem.image import MemoryImage, relocate_line
 from repro.mem.tagstore import LineMeta
 from repro.mem.wpq import DPO, LOGHDR, LPO, WB, PersistOp
 
@@ -297,7 +297,7 @@ class AsapEngine:
         pm = self.hierarchy.is_persistent(line)
         old_snapshot = None
         if pm and thread.active_rid is not None:
-            old_snapshot = {w: self.volatile.read_word(w) for w in words_of_line(line)}
+            old_snapshot = self.volatile.line_snapshot(line)
         self.volatile.write_range(addr, values)
         rid = thread.active_rid
 
@@ -323,10 +323,7 @@ class AsapEngine:
 
         def after_access(meta: LineMeta) -> None:
             def deliver() -> None:
-                values = [
-                    self.volatile.read_word(addr + 8 * i) for i in range(nwords)
-                ]
-                done(values)
+                done(self.volatile.read_words(addr, nwords))
 
             if pm and rid is not None:
                 # Sec. 4.6.3: reads also capture data dependences.
@@ -493,10 +490,7 @@ class AsapEngine:
             # word that names it (Sec. 5.5: "ASAP sends the logged value to
             # the WPQ and the address to the LH-WPQ"): the entry becomes
             # visible to recovery exactly when its value is durable.
-            payload = {
-                entry_addr + (w - line): old_snapshot.get(w, 0)
-                for w in words_of_line(line)
-            }
+            payload = relocate_line(old_snapshot, line, entry_addr)
             payload[record.header_addr] = rid
             payload[record.header_word_addr(slot_idx)] = record.slot_word(slot_idx)
 
@@ -701,7 +695,7 @@ class AsapEngine:
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsapThread) -> None:
         line = slot.line
         meta = self.hierarchy.tags.get(line)
-        payload = {w: self.volatile.read_word(w) for w in words_of_line(line)}
+        payload = self.volatile.line_snapshot(line)
         version = slot.data_version
         if not self.params.dpo_coalescing and slot.eager_backlog > 1:
             # No-Opt ablation: one DPO per write. All but the newest are

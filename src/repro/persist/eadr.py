@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.rid import pack_rid
 from repro.persist.base import PersistenceScheme, SchemeThread
@@ -92,17 +92,13 @@ class EadrLogging(PersistenceScheme):
             and self.machine.page_table.is_persistent(addr)
             and line not in thread.undo
         ):
-            thread.undo[line] = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+            thread.undo[line] = self.machine.volatile.line_snapshot(line)
         self.machine.volatile.write_range(addr, values)
         self.machine.hierarchy.access(thread.core_id, addr, True, lambda meta: done())
 
     def read(self, thread: _EadrThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         def after(meta) -> None:
-            done([
-                self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)
-            ])
+            done(self.machine.volatile.read_words(addr, nwords))
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after)
 
@@ -113,13 +109,11 @@ class EadrLogging(PersistenceScheme):
         state, with in-flight regions rolled back from their in-cache
         logs (which the battery flushes too)."""
         pm = self.machine.pm_image
-        for word, value in self.machine.volatile.items():
-            if self.machine.page_table.is_persistent(word):
-                pm.write_word(word, value)
+        is_persistent = self.machine.page_table.is_persistent
+        pm.apply({w: v for w, v in self.machine.volatile.items() if is_persistent(w)})
         for thread in self._threads():
-            for line, old_words in thread.undo.items():
-                for w in words_of_line(line):
-                    pm.write_word(w, old_words.get(w, 0))
+            for old_words in thread.undo.values():
+                pm.apply(old_words)  # a full line snapshot, zeros included
 
     def _threads(self):
         for executor in self.machine.executors:

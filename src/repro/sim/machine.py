@@ -94,10 +94,10 @@ class Machine:
         before :meth:`run`. The continuing run then operates on exactly
         the durable state the crashed machine left behind.
         """
-        for word, value in image.items():
-            self.volatile.write_word(word, value)
-            self.pm_image.write_word(word, value)
-            self.oracle.committed.write_word(word, value)
+        words = dict(image.items())
+        self.volatile.apply(words)
+        self.pm_image.apply(words)
+        self.oracle.committed.apply(words)
 
     # -- execution ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ data words match ``committed`` exactly:
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Set
 
 from repro.mem.image import MemoryImage
@@ -32,17 +33,13 @@ class CommitOracle:
 
     def record_write(self, rid: int, addr: int, values) -> None:
         """Called by the executor for every in-region PM store."""
-        writes = self._region_writes.setdefault(rid, {})
-        base = addr & ~7
-        for i, value in enumerate(values):
-            word = base + 8 * i
-            writes[word] = value
-            self.tracked_words.add(word)
+        words = dict(zip(count(addr & ~7, 8), values))
+        self._region_writes.setdefault(rid, {}).update(words)
+        self.tracked_words.update(words)
 
     def on_commit(self, rid: int) -> None:
         """The scheme reports ``rid`` durable: fold its writes in."""
-        for word, value in self._region_writes.get(rid, {}).items():
-            self.committed.write_word(word, value)
+        self.committed.apply(self._region_writes.get(rid, {}))
         self.committed_rids.add(rid)
 
     def region_write_set(self, rid: int) -> Dict[int, int]:

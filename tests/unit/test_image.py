@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.mem.image import MemoryImage, snapshot_line
+from repro.mem.image import MemoryImage, relocate_line, snapshot_line
 
 BASE = 0x1000_0000_0000
 
@@ -78,3 +78,26 @@ def test_equal_on():
     assert a.equal_on(b, [BASE])
     b.write_word(BASE + 8, 9)
     assert not a.equal_on(b, [BASE, BASE + 8])
+
+
+def test_apply_rejects_unaligned_payload_whole():
+    img = MemoryImage()
+    img.write_word(BASE, 1)
+    with pytest.raises(SimulationError):
+        img.apply({BASE: 9, BASE + 8: 9, BASE + 20: 9})
+    assert dict(img.items()) == {BASE: 1}
+
+
+def test_line_snapshot_includes_zero_words():
+    img = MemoryImage()
+    img.write_word(BASE + 8, 3)
+    snap = img.line_snapshot(BASE + 40)
+    assert list(snap) == [BASE + 8 * i for i in range(8)]
+    assert snap[BASE + 8] == 3 and snap[BASE] == 0
+    assert img.read_line(BASE) == {BASE + 8: 3}  # materialised words only
+
+
+def test_relocate_line_rekeys_onto_log_entry():
+    entry = BASE + 0x4000
+    payload = relocate_line({BASE + 16: 4}, BASE, entry)
+    assert payload == {entry + 8 * i: (4 if i == 2 else 0) for i in range(8)}
