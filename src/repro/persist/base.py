@@ -107,7 +107,8 @@ class PersistenceScheme(abc.ABC):
 
     @abc.abstractmethod
     def read(self, thread: SchemeThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
-        """Load ``nwords`` words at ``addr``; ``done`` receives the values."""
+        """Load ``nwords`` words at ``addr``; ``done`` receives the values
+        as a fresh list, which the executor may hand to the workload."""
 
     def fence(self, thread: SchemeThread, done: Callable[[], None]) -> None:
         """Block until the thread's last region is durable.

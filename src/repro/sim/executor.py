@@ -19,7 +19,7 @@ from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
 from repro.core.rid import pack_rid
-from repro.sim import ops as op_types
+from repro.sim.ops import Begin, Compute, End, Fence, Lock, Migrate, Read, Unlock, Write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
@@ -34,6 +34,10 @@ class ThreadExecutor:
         self.core_id = core_id
         self._gen_fn = gen_fn
         self._gen: Optional[Iterator] = None
+        # The scheduler object, not its bound methods: the benchmark's
+        # tracer wraps ``Scheduler`` methods on the class.
+        self._scheduler = machine.scheduler
+        self._base_op_cost = machine.config.core.base_op_cost
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
         # region accounting
@@ -71,8 +75,8 @@ class ThreadExecutor:
 
     def start(self) -> None:
         self._gen = self._gen_fn(self)
-        self.start_cycle = self.machine.scheduler.now
-        self.machine.scheduler.after(0, lambda: self._step(None))
+        self.start_cycle = self._scheduler.now
+        self._scheduler.after(0, lambda: self._step(None))
 
     def _step(self, result) -> None:
         if self.machine.crashed or self.finished:
@@ -81,38 +85,37 @@ class ThreadExecutor:
             op = self._gen.send(result)
         except StopIteration:
             self.finished = True
-            self.finish_cycle = self.machine.scheduler.now
+            self.finish_cycle = self._scheduler.now
             return
         self.ops_executed += 1
         self._dispatch(op)
 
     def _charge_and_step(self, result=None) -> None:
-        base = self.machine.config.core.base_op_cost
-        self.machine.scheduler.after(base, lambda: self._step(result))
+        self._scheduler.after(self._base_op_cost, lambda: self._step(result))
 
     # -- dispatch ---------------------------------------------------------------
 
     def _dispatch(self, op) -> None:
-        scheme = self.machine.scheme
-        if isinstance(op, op_types.Compute):
-            self.machine.scheduler.after(
-                max(0, op.cycles), lambda: self._step(None)
-            )
-        elif isinstance(op, op_types.Write):
-            self._do_write(op.addr, list(op.values))
-        elif isinstance(op, op_types.Read):
+        # Exact-type tests, most frequent kinds first: ops are frozen
+        # dataclasses that are never subclassed.
+        kind = type(op)
+        if kind is Read:
             self._do_read(op.addr, op.nwords)
-        elif isinstance(op, op_types.Begin):
+        elif kind is Compute:
+            self._scheduler.after(max(0, op.cycles), lambda: self._step(None))
+        elif kind is Write:
+            self._do_write(op.addr, list(op.values))
+        elif kind is Begin:
             self._do_begin()
-        elif isinstance(op, op_types.End):
+        elif kind is End:
             self._do_end()
-        elif isinstance(op, op_types.Lock):
+        elif kind is Lock:
             op.lock.acquire(self.thread_id, lambda: self._charge_and_step())
-        elif isinstance(op, op_types.Unlock):
+        elif kind is Unlock:
             op.lock.release(self.thread_id, lambda: self._charge_and_step())
-        elif isinstance(op, op_types.Fence):
-            scheme.fence(self.scheme_thread, lambda: self._charge_and_step())
-        elif isinstance(op, op_types.Migrate):
+        elif kind is Fence:
+            self.machine.scheme.fence(self.scheme_thread, lambda: self._charge_and_step())
+        elif kind is Migrate:
             self._do_migrate(op.core_id)
         else:
             raise SimulationError(f"unknown op {op!r}")
@@ -150,6 +153,15 @@ class ThreadExecutor:
         issue(0)
 
     def _do_read(self, addr: int, nwords: int) -> None:
+        if nwords > 0 and not addr % WORD_BYTES and (
+            addr % CACHE_LINE_BYTES + nwords * WORD_BYTES <= CACHE_LINE_BYTES
+        ):
+            # One aligned chunk: the scheme's fresh value list goes to the
+            # generator as is, after the same single access and charge.
+            self.machine.scheme.read(
+                self.scheme_thread, addr, nwords, self._charge_and_step
+            )
+            return
         chunks = _split_read_by_line(addr, nwords)
         collected: list = []
 
@@ -173,7 +185,7 @@ class ThreadExecutor:
         self._region_depth += 1
         if self._region_depth == 1:
             self._local_region += 1
-            self._region_start = self.machine.scheduler.now
+            self._region_start = self._scheduler.now
         self.machine.scheme.begin(self.scheme_thread, lambda: self._charge_and_step())
 
     def _do_end(self) -> None:
@@ -185,9 +197,7 @@ class ThreadExecutor:
         def after_end() -> None:
             if closing_top_level:
                 self.regions_completed += 1
-                self.region_cycles_total += (
-                    self.machine.scheduler.now - self._region_start
-                )
+                self.region_cycles_total += self._scheduler.now - self._region_start
                 self._region_start = None
             self._charge_and_step()
 

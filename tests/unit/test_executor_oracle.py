@@ -158,3 +158,49 @@ def test_deadlock_detection():
     m.spawn(worker2)
     with pytest.raises(SimulationError, match="deadlock"):
         m.run()
+
+
+def run_reads(scheme, ops_at):
+    """Run the ops ``ops_at(a)`` lists over a fresh 256-byte PM block at
+    ``a``; return the machine and the value each Read yielded."""
+    m = make_machine(scheme)
+    a = m.heap.alloc(256)
+    results = []
+
+    def worker(env):
+        for op in ops_at(a):
+            value = yield op
+            if isinstance(op, Read):
+                results.append(value)
+
+    m.spawn(worker)
+    m.run()
+    return m, results
+
+
+def test_zero_word_read_makes_no_access():
+    m, results = run_reads("np", lambda a: [Read(a, 0)])
+    assert results == [[]]
+    assert m.hierarchy.accesses == 0
+
+
+def test_line_crossing_read_accesses_each_line():
+    m, results = run_reads("np", lambda a: [Read(a + 48, 4)])
+    assert results == [[0, 0, 0, 0]]
+    assert m.hierarchy.accesses == 2
+
+
+def test_unaligned_single_line_read_floors_to_its_word():
+    m, results = run_reads("np", lambda a: [Write(a + 8, [5, 6]), Read(a + 11, 2)])
+    assert results == [[5, 6]]
+    assert m.hierarchy.accesses == 2  # one write, one read
+
+
+@pytest.mark.parametrize("scheme", ["np", "sw", "hwundo", "hwredo", "eadr", "asap", "asap_redo"])
+def test_every_read_yields_a_fresh_list(scheme):
+    def ops_at(a):
+        return [Begin(), Write(a, [1, 2]), Read(a, 2), Read(a, 2), Read(a + 56, 2), End()]
+
+    _, results = run_reads(scheme, ops_at)
+    assert results == [[1, 2], [1, 2], [0, 0]]
+    assert len({id(r) for r in results}) == len(results)
