@@ -8,6 +8,7 @@ cycle. Callbacks scheduled for the same cycle run in scheduling order
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.errors import SimulationError
@@ -135,6 +136,7 @@ class Scheduler:
             The number of events executed.
         """
         executed = 0
+        limit = sys.maxsize if max_events is None else max_events
         buckets = self._buckets
         cursors = self._cursors
         times = self._times
@@ -159,7 +161,7 @@ class Scheduler:
                     # cancelled drain tick can be the queue's last entry,
                     # and the final clock value is part of the RunResult.
                     continue
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )

@@ -164,7 +164,8 @@ class CacheHierarchy:
         hit/miss counters once per retry.
 
         The L1 probe is :meth:`CacheArray.lookup` inlined: the L1-hit path
-        is the simulator's hottest and runs in this one frame.
+        is the simulator's hottest and runs in this one frame. A hit reads
+        the page table only when the line has no metadata yet.
         """
         line = addr & ~63
         self.accesses += 1
@@ -173,7 +174,9 @@ class CacheHierarchy:
         if line in s1:
             s1.move_to_end(line)
             l1.hits += 1
-            meta = self.tags.ensure(line, self.is_persistent(line))
+            meta = self.tags._meta.get(line)
+            if meta is None:
+                meta = self.tags.ensure(line, self.is_persistent(line))
             if is_write:
                 meta.dirty = True
                 meta.version += 1

@@ -32,7 +32,7 @@ class PageTable:
             page += PAGE_BYTES
 
     def is_persistent(self, addr: int) -> bool:
-        return page_base(addr) in self._persistent_pages
+        return addr & ~(PAGE_BYTES - 1) in self._persistent_pages
 
     @property
     def persistent_page_count(self) -> int:
