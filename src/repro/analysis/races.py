@@ -120,16 +120,15 @@ class RaceTracer(SimObserver):
     """Records the persist-op trace one instrumented run produces.
 
     Attach with :meth:`attach` (the :class:`~repro.analysis.Sanitizer`
-    idiom): the tracer takes every observer hook point - WPQs, cache
-    hierarchy, the ASAP engine or scheme, and the machine's locks. Race
-    tracing is a dedicated run; observer slots are single-valued.
+    idiom), which subscribes the tracer to the machine's observer bus:
+    WPQs, cache hierarchy, the ASAP engine or scheme, and the machine's
+    locks. Other subscribers, a sanitizer included, may share the run.
     """
 
     def __init__(self):
         self.machine = None
         self.nodes: List[PersistNode] = []
         self._node_of_op: Dict[int, PersistNode] = {}
-        self._channel_of_wpq: Dict[int, int] = {}
         #: (prev_rid, dep_rid, line) same-line undo-chain conflicts
         self.chains: List[Tuple[int, int, int]] = []
         #: rid -> rids it depends on (Dependence-List captures)
@@ -152,20 +151,8 @@ class RaceTracer(SimObserver):
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine) -> "RaceTracer":
-        from repro.core.engine import AsapEngine
-
         self.machine = machine
-        for channel in machine.memory.channels:
-            channel.wpq.observer = self
-            self._channel_of_wpq[id(channel.wpq)] = channel.index
-        machine.hierarchy.observer = self
-        machine.scheme.observer = self
-        engine = getattr(machine.scheme, "engine", None)
-        if isinstance(engine, AsapEngine):
-            engine.observer = self
-        for lock in machine.locks:
-            lock.observer = self
-        return self
+        return machine.bus.subscribe(self)
 
     def _now(self) -> int:
         return self.machine.scheduler.now if self.machine is not None else 0
@@ -184,7 +171,7 @@ class RaceTracer(SimObserver):
             target_line=op.target_line,
             data_line=op.data_line,
             rid=op.rid,
-            channel=self._channel_of_wpq.get(id(wpq), 0),
+            channel=self.machine.memory.channel_for_line(op.target_line).index,
             submitted_at=op.submitted_at
             if op.submitted_at is not None
             else self._now(),

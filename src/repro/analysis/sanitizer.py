@@ -1,8 +1,8 @@
 """Runtime invariant sanitizer: checks ASAP's WAL contract on live events.
 
-The sanitizer is a :class:`~repro.common.SimObserver` wired into the
-machine's hook points (``AsapEngine.observer``, each WPQ's and Dependence
-List's ``observer``, the cache hierarchy's ``observer``). It keeps a small
+The sanitizer is a :class:`~repro.common.SimObserver` subscribed to the
+machine's observer bus (WPQ, cache hierarchy, ASAP engine and Dependence
+List events). It keeps a small
 mirror of the protocol state - which regions are active, which (region,
 line) pairs have durable log entries, which regions each region depends
 on - and raises :class:`~repro.common.errors.SanitizerError` (or collects
@@ -31,6 +31,16 @@ from repro.common.errors import SanitizerError
 from repro.common.observe import SimObserver
 from repro.analysis.rules import Violation
 from repro.mem.wpq import DPO, LPO, WB
+
+
+#: the events the engine and Dependence List rules check. The rules read
+#: AsapEngine structures (CL Lists, LH-WPQs), so they are subscribed only
+#: when the scheme has an AsapEngine: ASAP-Redo publishes some of these
+#: events too, from a scheme that has none of those structures.
+_ENGINE_EVENTS = frozenset(
+    "region_begun dep_captured slot_opened lpo_initiated lpo_logged "
+    "region_committed dep_entry_opened".split()
+)
 
 
 class Sanitizer(SimObserver):
@@ -78,25 +88,18 @@ class Sanitizer(SimObserver):
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine) -> "Sanitizer":
-        """Install this sanitizer on every hook point of ``machine``.
+        """Subscribe this sanitizer to ``machine``'s observer bus.
 
-        WPQ and cache-hierarchy hooks apply to any scheme; engine and
-        Dependence List hooks additionally apply when the scheme exposes an
+        WPQ and cache-hierarchy rules apply to any scheme; engine and
+        Dependence List rules additionally apply when the scheme exposes an
         :class:`~repro.core.engine.AsapEngine`.
         """
         from repro.core.engine import AsapEngine
 
         self._machine = machine
-        for channel in machine.memory.channels:
-            channel.wpq.observer = self
-        machine.hierarchy.observer = self
         engine = getattr(machine.scheme, "engine", None)
-        if isinstance(engine, AsapEngine):
-            engine.observer = self
-            for dl in engine.dep_lists:
-                dl.observer = self
-        machine.sanitizer = self
-        return self
+        skip = frozenset() if isinstance(engine, AsapEngine) else _ENGINE_EVENTS
+        return machine.bus.subscribe(self, skip)
 
     # -- engine events -----------------------------------------------------
 

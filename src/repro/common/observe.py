@@ -1,27 +1,50 @@
-"""Lightweight observation hooks for the simulated machine.
+"""The observer bus: the one way to watch a simulated machine.
 
-The core and memory layers each expose an optional ``observer`` attribute
-(default ``None``) and notify it at a handful of well-defined event points.
-:class:`SimObserver` is the no-op base: every method does nothing, so the
-hot paths pay one ``is not None`` test when observation is off and a plain
-method call when it is on.
+Each :class:`~repro.sim.machine.Machine` owns one :class:`ObserverBus` and
+hands it to every component that emits events. A watcher - the commit
+oracle, the service recorder, the sanitizer, the race tracer, the
+timeline tracer or a test - subclasses :class:`SimObserver`, overrides
+the events it needs and calls ``machine.bus.subscribe(obj)``. The bus
+holds one attribute per event, ``None`` while no subscriber overrides
+it, so emit sites read::
 
-The runtime invariant sanitizer (:mod:`repro.analysis.sanitizer`) is the
-primary consumer; tests may subclass this to record event traces. This
-module lives in :mod:`repro.common` so that :mod:`repro.core` and
+    if self.bus.wpq_accepted is not None:
+        self.bus.wpq_accepted(self, op)
+
+and an unwatched event costs one attribute load and a ``None`` test.
+
+This module lives in :mod:`repro.common` so that :mod:`repro.core` and
 :mod:`repro.mem` can reference the protocol without importing the analysis
 package (which imports them).
 """
 
 from __future__ import annotations
 
+from typing import Dict, FrozenSet, List, TypeVar
+
 
 class SimObserver:
-    """No-op base class for machine-event observers.
+    """No-op base class for machine-event observers: the event catalog.
 
     Subclass and override the events of interest. Handlers must not mutate
-    the structures they are handed; they exist to *check* and *account*.
+    the structures they are handed (except :meth:`result_collected`'s
+    result); they exist to *check* and *account*.
     """
+
+    # -- thread executors (sim/executor.py) ---------------------------------
+
+    def begin_retired(self, executor, rid) -> None:
+        """A top-level ``Begin`` of region ``rid`` retired."""
+
+    def end_retired(self, executor, rid) -> None:
+        """A top-level ``End`` of region ``rid`` retired (under ASAP the
+        region commits later; under synchronous commit it already has)."""
+
+    # -- every persistence scheme (persist/) --------------------------------
+
+    def region_durable(self, source, rid) -> None:
+        """Region ``rid`` is durable; every scheme publishes this once per
+        region (``source`` is the scheme, or its AsapEngine under ASAP)."""
 
     # -- write pending queue (mem/wpq.py) ---------------------------------
 
@@ -133,3 +156,47 @@ class SimObserver:
 
     def lock_released(self, lock, thread_id) -> None:
         """``thread_id`` released ``lock``."""
+
+    # -- result collection (sim/stats.py) -----------------------------------
+
+    def result_collected(self, machine, result) -> None:
+        """``RunResult.collect`` built ``result``; the service recorder
+        fills its latency fields here."""
+
+
+#: every event of the catalog, in declaration order
+EVENTS = tuple(name for name in vars(SimObserver) if not name.startswith("_"))
+
+_Observer = TypeVar("_Observer", bound=SimObserver)
+
+
+class ObserverBus:
+    """One machine's fan-out of :class:`SimObserver` events: each event is
+    an attribute holding ``None``, one handler, or a fan-out calling the
+    handlers in subscription order."""
+
+    def __init__(self):
+        #: every subscribed observer, in subscription order
+        self.subscribers: List[SimObserver] = []
+        self._handlers: Dict[str, tuple] = {}
+        self.__dict__.update(dict.fromkeys(EVENTS))
+
+    def subscribe(self, observer: _Observer, skip: FrozenSet[str] = frozenset()) -> _Observer:
+        """Route to ``observer`` every event its class overrides, except
+        the events named in ``skip``. Returns ``observer``."""
+        self.subscribers.append(observer)
+        for name in EVENTS:
+            if name in skip or getattr(type(observer), name) is getattr(SimObserver, name):
+                continue
+            handlers = self._handlers.get(name, ()) + (getattr(observer, name),)
+            self._handlers[name] = handlers
+            setattr(self, name, handlers[0] if len(handlers) == 1 else _fan_out(handlers))
+        return observer
+
+
+def _fan_out(handlers):
+    def emit(*args) -> None:
+        for handler in handlers:
+            handler(*args)
+
+    return emit

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import SimulationError
-from repro.common.observe import SimObserver
+from repro.common.observe import ObserverBus
 from repro.core.states import RegionState
 from repro.engine import Scheduler, WaitQueue
 
@@ -49,7 +49,8 @@ class DependenceEntry:
 class DependenceList:
     """One channel's Dependence List."""
 
-    def __init__(self, channel_index: int, scheduler: Scheduler, entries: int, dep_slots: int):
+    def __init__(self, channel_index: int, scheduler: Scheduler, entries: int,
+                 dep_slots: int, bus: Optional[ObserverBus] = None):
         self.channel_index = channel_index
         self.max_entries = entries
         self.dep_slots = dep_slots
@@ -60,8 +61,8 @@ class DependenceList:
         self.dep_waiters = WaitQueue(scheduler)
         self.entry_stalls = 0
         self.dep_stalls = 0
-        #: optional :class:`SimObserver` notified on entry open/remove
-        self.observer: Optional[SimObserver] = None
+        #: the machine's observer bus (entry open/remove events)
+        self.bus = bus or ObserverBus()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,16 +92,16 @@ class DependenceList:
             raise SimulationError(f"duplicate Dependence entry for rid {rid}")
         entry = DependenceEntry(rid, self.dep_slots)
         self._entries[rid] = entry
-        if self.observer is not None:
-            self.observer.dep_entry_opened(self, entry)
+        if self.bus.dep_entry_opened is not None:
+            self.bus.dep_entry_opened(self, entry)
         return entry
 
     def remove_entry(self, rid: int) -> None:
         """Commit: clear the region's entry (Fig. 4 transition (4))."""
         if rid in self._entries:
             del self._entries[rid]
-            if self.observer is not None:
-                self.observer.dep_entry_removed(self, rid)
+            if self.bus.dep_entry_removed is not None:
+                self.bus.dep_entry_removed(self, rid)
             self.entry_waiters.wake_one()
 
     def clear_dependency(self, committed_rid: int) -> List[DependenceEntry]:

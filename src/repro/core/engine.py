@@ -36,7 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.common.address import line_base
 from repro.common.errors import SimulationError
-from repro.common.observe import SimObserver
+from repro.common.observe import ObserverBus
 from repro.common.params import SystemConfig
 from repro.core.bloom import OwnerSpillBuffer
 from repro.core.cl_list import CLEntry, CLList, CLSlot
@@ -103,11 +103,14 @@ class AsapEngine:
         hierarchy: CacheHierarchy,
         volatile: MemoryImage,
         pm_alloc: Callable[[int], int],
+        bus: Optional[ObserverBus] = None,
     ):
         """
         Args:
             pm_alloc: allocates persistent memory (used for log buffers and
                 log growth); provided by the runtime heap.
+            bus: the machine's :class:`ObserverBus`, shared with the
+                Dependence Lists.
         """
         self.config = config
         self.params = config.asap
@@ -117,6 +120,7 @@ class AsapEngine:
         self.volatile = volatile
         self.pm_alloc = pm_alloc
         self.stats = AsapStats()
+        self.bus = bus or ObserverBus()
 
         self.cl_lists: List[CLList] = [
             CLList(core, scheduler, self.params.cl_list_entries, self.params.clptr_slots)
@@ -124,7 +128,8 @@ class AsapEngine:
         ]
         num_channels = config.memory.num_channels
         self.dep_lists: List[DependenceList] = [
-            DependenceList(ch, scheduler, self.params.dependence_list_entries, self.params.dep_slots)
+            DependenceList(ch, scheduler, self.params.dependence_list_entries,
+                           self.params.dep_slots, self.bus)
             for ch in range(num_channels)
         ]
         self.lh_wpqs: List[LogHeaderWPQ] = [
@@ -154,11 +159,7 @@ class AsapEngine:
         #: :mod:`repro.core.cl_list`).
         self._slots_by_line: Dict[int, Dict[int, tuple]] = {}
         self._dpo_distance = config.asap.dpo_distance
-        #: commit listeners, e.g. the recovery oracle
-        self.on_commit: List[Callable[[int], None]] = []
         self._quiescent_waiters: List[Callable[[], None]] = []
-        #: optional :class:`SimObserver` (the runtime invariant sanitizer)
-        self.observer: Optional[SimObserver] = None
 
         hierarchy.evict_hook = self._on_llc_evict
         hierarchy.reload_hook = self._on_pm_reload
@@ -241,10 +242,10 @@ class AsapEngine:
         thread.last_rid = rid
         thread.commit_signals[rid] = Signal(self.scheduler)
         self.stats.regions_begun += 1
-        if self.observer is not None:
-            self.observer.region_begun(self, thread, rid)
-            if prev is not None and prev in entry.deps:
-                self.observer.dep_captured(self, rid, prev)
+        if self.bus.region_begun is not None:
+            self.bus.region_begun(self, thread, rid)
+        if self.bus.dep_captured is not None and prev in entry.deps:
+            self.bus.dep_captured(self, rid, prev)
         done()
 
     # ------------------------------------------------------------------
@@ -265,8 +266,8 @@ class AsapEngine:
             raise SimulationError("no active region at top-level asap_end")
         thread.active_rid = None
         self.stats.regions_ended += 1
-        if self.observer is not None:
-            self.observer.region_ended(self, thread, rid)
+        if self.bus.region_ended is not None:
+            self.bus.region_ended(self, thread, rid)
         entry = self.cl_lists[thread.core_id].entry(rid)
         if entry is None:
             raise SimulationError(f"missing CL entry for {rid} at asap_end")
@@ -384,8 +385,8 @@ class AsapEngine:
             return
         entry.deps.add(owner)
         self.stats.dep_captures += 1
-        if self.observer is not None:
-            self.observer.dep_captured(self, rid, owner)
+        if self.bus.dep_captured is not None:
+            self.bus.dep_captured(self, rid, owner)
         then()
 
     def _ensure_slot(
@@ -421,8 +422,8 @@ class AsapEngine:
                 entry,
                 slot,
             )
-            if self.observer is not None:
-                self.observer.slot_opened(self, entry, meta.line)
+            if self.bus.slot_opened is not None:
+                self.bus.slot_opened(self, entry, meta.line)
         self._after_slot(thread, rid, entry, slot, meta, old_snapshot, done)
 
     def _after_slot(
@@ -474,8 +475,8 @@ class AsapEngine:
             and prev_owner != rid
             and self.dep_list_for(prev_owner).contains(prev_owner)
         )
-        if chained and self.observer is not None:
-            self.observer.lpo_chained(self, rid, meta.line, prev_owner)
+        if chained and self.bus.lpo_chained is not None:
+            self.bus.lpo_chained(self, rid, meta.line, prev_owner)
         meta.lock_count += 1
         meta.owner_rid = rid
         line = meta.line
@@ -496,8 +497,8 @@ class AsapEngine:
 
             def accepted(op: PersistOp) -> None:
                 record.confirm(slot_idx)
-                if self.observer is not None:
-                    self.observer.lpo_logged(self, rid, line)
+                if self.bus.lpo_logged is not None:
+                    self.bus.lpo_logged(self, rid, line)
                 self._lpo_accepted(op, thread)
                 self._lpo_chain_advance(line)
 
@@ -510,8 +511,8 @@ class AsapEngine:
                 on_complete=accepted,
             )
             self.stats.lpos_initiated += 1
-            if self.observer is not None:
-                self.observer.lpo_initiated(self, rid, line, entry_addr)
+            if self.bus.lpo_initiated is not None:
+                self.bus.lpo_initiated(self, rid, line, entry_addr)
             self._submit_lpo_ordered(op, line)
             # Instruction execution proceeds while the LPO is in flight.
             then()
@@ -561,8 +562,8 @@ class AsapEngine:
                 self.memory.issue_persist(op)
                 return
             self.stats.lpo_order_delays += 1
-            if self.observer is not None:
-                self.observer.lpo_deferred(self, op.rid, line)
+            if self.bus.lpo_deferred is not None:
+                self.bus.lpo_deferred(self, op.rid, line)
             self._line_lpo_waiters.setdefault(line, deque()).append(op)
             return
         self._line_lpo_inflight[line] = [channel.index, 1]
@@ -726,8 +727,8 @@ class AsapEngine:
             on_complete=lambda op: self._dpo_accepted(entry, slot, version, thread),
         )
         self.stats.dpos_initiated += 1
-        if self.observer is not None:
-            self.observer.dpo_initiated(self, entry.rid, line)
+        if self.bus.dpo_initiated is not None:
+            self.bus.dpo_initiated(self, entry.rid, line)
         self.memory.issue_persist(op)
 
     def _dpo_accepted(
@@ -791,14 +792,14 @@ class AsapEngine:
     def _commit(self, rid: int) -> None:
         """Fig. 4 transition (4): free the log, clear the entry, broadcast."""
         thread = self.threads[rid >> 32]
-        if self.observer is not None:
-            self.observer.region_committed(self, rid)
+        if self.bus.region_committed is not None:
+            self.bus.region_committed(self, rid)
         dl = self.dep_list_for(rid)
         dl.remove_entry(rid)
         open_record = thread.log.open_record(rid)
         records = thread.log.free(rid)
-        if self.observer is not None:
-            self.observer.log_freed(self, rid, records)
+        if self.bus.log_freed is not None:
+            self.bus.log_freed(self, rid, records)
         for lh in self.lh_wpqs:
             lh.release_region(rid)
         if self.params.lpo_dropping:
@@ -819,8 +820,8 @@ class AsapEngine:
         signal = thread.commit_signals.pop(rid, None)
         if signal is not None:
             signal.fire()
-        for listener in self.on_commit:
-            listener(rid)
+        if self.bus.region_durable is not None:
+            self.bus.region_durable(self, rid)
         if self.uncommitted_count() == 0:
             # Safe point to clear the Bloom filters (Sec. 5.3).
             for ch in range(len(self.dep_lists)):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.common.address import AddressSpace
+from repro.common.observe import ObserverBus
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler
 from repro.mem.image import MemoryImage
@@ -57,6 +58,7 @@ class Channel:
         pm_image: MemoryImage,
         wpq_entries: int,
         drain_gate: Optional[DrainArbiter] = None,
+        bus: Optional[ObserverBus] = None,
     ):
         self.index = index
         self.stats = TrafficStats()
@@ -71,6 +73,7 @@ class Channel:
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
             fifo_backpressure=timing.mem.wpq_fifo_backpressure,
             drain_gate=drain_gate,
+            bus=bus,
         )
 
     def _count_drain(self, op: PersistOp) -> None:
@@ -85,6 +88,7 @@ class MemorySystem:
         config: SystemConfig,
         scheduler: Scheduler,
         pm_image: MemoryImage,
+        bus: Optional[ObserverBus] = None,
     ):
         self.config = config
         self.scheduler = scheduler
@@ -104,6 +108,7 @@ class MemorySystem:
                 pm_image,
                 config.memory.wpq_entries,
                 drain_gate=self.drain_arbiter,
+                bus=bus,
             )
             for i in range(config.memory.num_channels)
         ]

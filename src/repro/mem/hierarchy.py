@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.observe import SimObserver
+from repro.common.observe import ObserverBus
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler, WaitQueue
 from repro.mem.cache import CacheArray, MSHRFile
@@ -54,6 +54,7 @@ class CacheHierarchy:
         memory: MemorySystem,
         volatile_image: MemoryImage,
         is_persistent: Callable[[int], bool],
+        bus: Optional[ObserverBus] = None,
     ):
         self.config = config
         self.scheduler = scheduler
@@ -119,8 +120,8 @@ class CacheHierarchy:
         #: scheme hooks (Sec. 5.3); set by the ASAP engine when active.
         self.evict_hook: Optional[EvictHook] = None
         self.reload_hook: Optional[ReloadHook] = None
-        #: optional :class:`SimObserver` notified on persistent evictions
-        self.observer: Optional[SimObserver] = None
+        #: the machine's observer bus (MSHR and persistent-eviction events)
+        self.bus = bus or ObserverBus()
 
         # statistics
         self.accesses = 0
@@ -300,8 +301,8 @@ class CacheHierarchy:
             l1m.ensure(line)
             l2m.ensure(line)
             fetch.waiters.append((core_id, done))
-            if self.observer is not None:
-                self.observer.mshr_merged(self, line, core_id)
+            if self.bus.mshr_merged is not None:
+                self.bus.mshr_merged(self, line, core_id)
             return
         if self.llc_mshrs.full or l1m.full or l2m.full:
             self._stall_on_mshrs(core_id, line, is_write, done)
@@ -323,8 +324,8 @@ class CacheHierarchy:
         l1m.allocate(line)
         l2m.allocate(line)
         fetch.waiters.append((core_id, done))
-        if self.observer is not None:
-            self.observer.mshr_allocated(self, line, core_id)
+        if self.bus.mshr_allocated is not None:
+            self.bus.mshr_allocated(self, line, core_id)
         self.scheduler.after(latency, lambda: self._complete_fill(line, meta))
 
     def _stall_on_mshrs(
@@ -335,8 +336,8 @@ class CacheHierarchy:
         done: Callable[[LineMeta], None],
     ) -> None:
         self.mshr_stalls += 1
-        if self.observer is not None:
-            self.observer.mshr_stalled(self, line, core_id)
+        if self.bus.mshr_stalled is not None:
+            self.bus.mshr_stalled(self, line, core_id)
         self._mshr_free_waiters.park(
             lambda: self._mshr_retry(core_id, line, is_write, done)
         )
@@ -394,8 +395,8 @@ class CacheHierarchy:
         for core_id, _done in fetch.waiters:
             self.l1_mshrs[core_id].free(line)
             self.l2_mshrs[core_id].free(line)
-        if self.observer is not None:
-            self.observer.mshr_filled(self, line, len(fetch.waiters))
+        if self.bus.mshr_filled is not None:
+            self.bus.mshr_filled(self, line, len(fetch.waiters))
         for _core_id, waiter_done in fetch.waiters:
             waiter_done(meta)
         # Exactly one LLC register was freed; give it to the oldest
@@ -442,8 +443,8 @@ class CacheHierarchy:
                 payload=snapshot_line(self.volatile, victim),
                 rid=meta.owner_rid,
             )
-        if meta.pbit and self.observer is not None:
-            self.observer.line_evicted(meta, wb_op)
+        if meta.pbit and self.bus.line_evicted is not None:
+            self.bus.line_evicted(meta, wb_op)
         if self.evict_hook is not None and meta.pbit:
             # The hook may mark wb_op dropped: redo-style schemes must not
             # let uncommitted data reach its in-place address (the log

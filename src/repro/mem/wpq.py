@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.observe import SimObserver
+from repro.common.observe import ObserverBus
 from repro.engine import Scheduler, WaitQueue
 from repro.mem.image import MemoryImage
 
@@ -142,6 +142,7 @@ class WritePendingQueue:
         lazy_drain_multiplier: int = 1,
         fifo_backpressure: bool = True,
         drain_gate: Optional[DrainArbiter] = None,
+        bus: Optional[ObserverBus] = None,
     ):
         """
         Args:
@@ -166,6 +167,8 @@ class WritePendingQueue:
                 followed by a bus-held ``write_service()`` window, so an
                 uncontended gated channel drains at exactly the ungated
                 cadence while contended channels queue for the token.
+            bus: the machine's :class:`ObserverBus` (a standalone queue
+                gets a private one).
         """
         if capacity <= 0:
             raise SimulationError("WPQ capacity must be positive")
@@ -200,8 +203,7 @@ class WritePendingQueue:
         self._drain_gate = drain_gate
         #: gated-drain phase: None | "slack" | "waiting" | "holding"
         self._gate_stage: Optional[str] = None
-        #: optional :class:`SimObserver` notified on accept/drain/drop
-        self.observer: Optional[SimObserver] = None
+        self.bus = bus or ObserverBus()
         # statistics
         self.accepted = 0
         self.drained = 0
@@ -235,8 +237,8 @@ class WritePendingQueue:
         """
         if op.submitted_at is None:
             op.submitted_at = self._scheduler.now
-            if self.observer is not None:
-                self.observer.wpq_submitted(self, op)
+            if self.bus.wpq_submitted is not None:
+                self.bus.wpq_submitted(self, op)
         if not self._fifo_backpressure:
             # Legacy mode: closures park on a wait queue; a submission that
             # races a freed slot can overtake them (the ordering bug).
@@ -308,8 +310,8 @@ class WritePendingQueue:
         occupancy = len(self._entries)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        if self.observer is not None:
-            self.observer.wpq_accepted(self, op)
+        if self.bus.wpq_accepted is not None:
+            self.bus.wpq_accepted(self, op)
         if op.on_complete is not None:
             cb, op.on_complete = op.on_complete, None
             cb(op)
@@ -377,8 +379,8 @@ class WritePendingQueue:
         self._index_remove(op)
         self._pm_image.apply(op.materialized_payload())
         self.drained += 1
-        if self.observer is not None:
-            self.observer.wpq_drained(self, op)
+        if self.bus.wpq_drained is not None:
+            self.bus.wpq_drained(self, op)
         if self._on_drain is not None:
             self._on_drain(op)
         if op.on_drain is not None:
@@ -464,8 +466,8 @@ class WritePendingQueue:
             self._index_remove(op)
             op.dropped = True
             self.dropped += 1
-            if self.observer is not None:
-                self.observer.wpq_dropped(self, op)
+            if self.bus.wpq_dropped is not None:
+                self.bus.wpq_dropped(self, op)
             if op.on_drain is not None:
                 # A dropped write is satisfied, not lost: its data is
                 # superseded or no longer needed; waiters must not hang.
@@ -482,8 +484,8 @@ class WritePendingQueue:
                 op.dropped = True
                 self.dropped_pending += 1
                 dropped_pending += 1
-                if self.observer is not None:
-                    self.observer.wpq_dropped(self, op)
+                if self.bus.wpq_dropped is not None:
+                    self.bus.wpq_dropped(self, op)
                 if op.on_complete is not None:
                     cb, op.on_complete = op.on_complete, None
                     cb(op)

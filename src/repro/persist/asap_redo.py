@@ -136,6 +136,7 @@ class AsapRedoLogging(PersistenceScheme):
                 machine.scheduler,
                 params.dependence_list_entries,
                 params.dep_slots,
+                self.bus,
             )
             for ch in range(machine.config.memory.num_channels)
         ]
@@ -184,15 +185,15 @@ class AsapRedoLogging(PersistenceScheme):
         prev = previous_rid(rid)
         if prev is not None and self.dep_list_for(prev).contains(prev):
             entry.deps.add(prev)
-            if self.observer is not None:
-                self.observer.dep_captured(self, rid, prev)
+            if self.bus.dep_captured is not None:
+                self.bus.dep_captured(self, rid, prev)
         region = _RedoRegion(rid)
         self.regions[rid] = region
         thread.active = region
         thread.last_rid = rid
         thread.commit_signals[rid] = Signal(self.machine.scheduler)
-        if self.observer is not None:
-            self.observer.region_begun(self, thread, rid)
+        if self.bus.region_begun is not None:
+            self.bus.region_begun(self, thread, rid)
         done()
 
     def end(self, thread: _RedoThread, done: Callable[[], None]) -> None:
@@ -211,8 +212,8 @@ class AsapRedoLogging(PersistenceScheme):
             self._issue_lpo(thread, region, line)
         region.rewritten.clear()
         region.state = RegionState.DONE
-        if self.observer is not None:
-            self.observer.region_ended(self, thread, region.rid)
+        if self.bus.region_ended is not None:
+            self.bus.region_ended(self, thread, region.rid)
         self._try_commit(region, thread)
         done()  # asynchronous commit: retire immediately
 
@@ -250,12 +251,13 @@ class AsapRedoLogging(PersistenceScheme):
 
         def marker_accepted(op) -> None:
             # Durable: recovery will replay this region from its log.
-            if self.observer is not None:
-                self.observer.marker_accepted(self, rid, seq, op)
+            if self.bus.marker_accepted is not None:
+                self.bus.marker_accepted(self, rid, seq, op)
             self.dep_list_for(rid).remove_entry(rid)
-            self._notify_commit(rid)
-            if self.observer is not None:
-                self.observer.region_committed(self, rid)
+            if self.bus.region_durable is not None:
+                self.bus.region_durable(self, rid)
+            if self.bus.region_committed is not None:
+                self.bus.region_committed(self, rid)
             signal = thread.commit_signals.pop(rid, None)
             if signal is not None:
                 signal.fire()
@@ -284,8 +286,8 @@ class AsapRedoLogging(PersistenceScheme):
             rid=rid,
             on_complete=marker_accepted,
         )
-        if self.observer is not None:
-            self.observer.marker_issued(self, rid, seq, marker_op)
+        if self.bus.marker_issued is not None:
+            self.bus.marker_issued(self, rid, seq, marker_op)
         self.machine.memory.issue_persist(marker_op)
 
     def _issue_post_commit_dpos(self, region: _RedoRegion, thread: _RedoThread) -> None:
@@ -313,8 +315,8 @@ class AsapRedoLogging(PersistenceScheme):
             if meta is not None and self._last_writer.get(line) == region.rid:
                 meta.dirty = False
             pending["n"] += 1
-            if self.observer is not None:
-                self.observer.dpo_initiated(self, region.rid, line)
+            if self.bus.dpo_initiated is not None:
+                self.bus.dpo_initiated(self, region.rid, line)
             self.machine.memory.issue_persist(
                 PersistOp(
                     kind=DPO,
@@ -408,8 +410,8 @@ class AsapRedoLogging(PersistenceScheme):
             )
             return
         entry.deps.add(owner)
-        if self.observer is not None:
-            self.observer.dep_captured(self, region.rid, owner)
+        if self.bus.dep_captured is not None:
+            self.bus.dep_captured(self, region.rid, owner)
         then()
 
     def _issue_lpo(self, thread: _RedoThread, region: _RedoRegion, line: int) -> None:
@@ -431,14 +433,14 @@ class AsapRedoLogging(PersistenceScheme):
         payload[record.header_word_addr(slot)] = line
         region.outstanding_lpos += 1
         self._last_writer[line] = region.rid
-        if self.observer is not None:
-            self.observer.lpo_initiated(self, region.rid, line, entry_addr)
+        if self.bus.lpo_initiated is not None:
+            self.bus.lpo_initiated(self, region.rid, line, entry_addr)
 
         def accepted(_op) -> None:
             record.confirm(slot)
             region.outstanding_lpos -= 1
-            if self.observer is not None:
-                self.observer.lpo_logged(self, region.rid, line)
+            if self.bus.lpo_logged is not None:
+                self.bus.lpo_logged(self, region.rid, line)
             self._try_commit(region, self._threads[region.rid >> 32])
 
         self.machine.memory.issue_persist(

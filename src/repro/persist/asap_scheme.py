@@ -2,7 +2,8 @@
 
 All of the paper's machinery lives in :mod:`repro.core`; this class maps
 the generic :class:`~repro.persist.base.PersistenceScheme` interface onto
-it and forwards commit notifications and crash flushes. That includes the
+it and forwards crash flushes; the engine publishes commits on the
+machine's observer bus itself. That includes the
 per-line log-persist ordering rule (``ordered_line_log_persists``,
 enforced in :meth:`AsapEngine._submit_lpo_ordered`): the crash snapshot
 records whether it was active so recovery knows which chain-completeness
@@ -46,8 +47,8 @@ class AsapScheme(PersistenceScheme):
             hierarchy=machine.hierarchy,
             volatile=machine.volatile,
             pm_alloc=machine.heap.alloc,
+            bus=machine.bus,
         )
-        self.engine.on_commit.append(self._notify_commit)
 
     @property
     def stats(self):
@@ -58,13 +59,9 @@ class AsapScheme(PersistenceScheme):
         return _AsapSchemeThread(thread_id, core_id, engine_thread)
 
     def begin(self, thread: _AsapSchemeThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
         self.engine.begin(thread.engine_thread, done)
 
     def end(self, thread: _AsapSchemeThread, done: Callable[[], None]) -> None:
-        thread.nest_depth -= 1
         self.engine.end(thread.engine_thread, done)
 
     def write(self, thread: _AsapSchemeThread, addr: int, values, done: Callable[[], None]) -> None:

@@ -5,14 +5,15 @@ write, fence) in continuation-passing style: the ``done`` callback fires
 when the instruction may retire. Synchronous-commit schemes delay ``End``'s
 ``done``; ASAP never does.
 
-Schemes also expose commit notifications (for the recovery oracle) and a
+Schemes also publish each region's durable commit on the machine's
+observer bus (``region_durable``; the recovery oracle subscribes) and a
 ``crash()`` hook that flushes their share of the persistence domain.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, FrozenSet, List, Optional, TYPE_CHECKING
+from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.common.params import SystemConfig
@@ -73,18 +74,16 @@ class PersistenceScheme(abc.ABC):
 
     def __init__(self):
         self.machine: Optional["Machine"] = None
-        #: optional :class:`repro.common.observe.SimObserver` notified of
-        #: scheme-level events (markers, redo LPOs, dependences).
-        self.observer = None
-        #: listeners called with a packed region id when a region becomes
-        #: durable (commits); the machine's oracle subscribes here.
-        self.on_commit: List[Callable[[int], None]] = []
+        #: the machine's :class:`~repro.common.observe.ObserverBus`, bound
+        #: by :meth:`attach`; every scheme publishes ``region_durable`` on it
+        self.bus = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, machine: "Machine") -> None:
         """Bind the scheme to a machine (images, hierarchy, controllers)."""
         self.machine = machine
+        self.bus = machine.bus
 
     @abc.abstractmethod
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
@@ -159,9 +158,3 @@ class PersistenceScheme(abc.ABC):
         if not config.asap.ordered_line_log_persists:
             edges.discard("line-chain")
         return frozenset(edges)
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _notify_commit(self, rid: int) -> None:
-        for listener in self.on_commit:
-            listener(rid)

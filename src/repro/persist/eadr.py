@@ -79,7 +79,8 @@ class EadrLogging(PersistenceScheme):
             # persistence domain: the region is durable the instant the
             # in-cache log is dropped. Commit is free and immediate.
             thread.undo.clear()
-            self._notify_commit(thread.rid)
+            if self.bus.region_durable is not None:
+                self.bus.region_durable(self, thread.rid)
         done()
 
     # -- accesses ----------------------------------------------------------------

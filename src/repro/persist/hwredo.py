@@ -106,7 +106,8 @@ class HardwareRedoLogging(PersistenceScheme):
         thread.waiting = False
         rid = thread.rid
         lines = sorted(thread.write_set)
-        self._notify_commit(rid)
+        if self.bus.region_durable is not None:
+            self.bus.region_durable(self, rid)
         resume, thread.resume = thread.resume, None
         # Post-commit DPOs are asynchronous: schedule them lazily, retire
         # anyway. The lazy window is what gives redo logging its DPO

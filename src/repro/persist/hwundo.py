@@ -135,7 +135,8 @@ class HardwareUndoLogging(PersistenceScheme):
         thread.log.free(rid)
         # LPO dropping (any log writes still queued are unneeded now).
         self.machine.memory.drop_log_ops_for_rid(rid)
-        self._notify_commit(rid)
+        if self.bus.region_durable is not None:
+            self.bus.region_durable(self, rid)
         resume, thread.resume = thread.resume, None
         resume()
 

@@ -41,7 +41,8 @@ class NoPersistence(PersistenceScheme):
         if thread.nest_depth == 0:
             # NP gives no durability, but the region is "complete" for
             # throughput accounting purposes.
-            self._notify_commit(pack_rid(thread.thread_id, thread.regions_begun))
+            if self.bus.region_durable is not None:
+                self.bus.region_durable(self, pack_rid(thread.thread_id, thread.regions_begun))
         done()
 
     def write(self, thread: SchemeThread, addr: int, values, done: Callable[[], None]) -> None:

@@ -151,7 +151,8 @@ class SoftwareLogging(PersistenceScheme):
     def _commit(self, thread: _SwThread, done: Callable[[], None]) -> None:
         if thread.log is not None:
             thread.log.free(thread.rid)
-        self._notify_commit(thread.rid)
+        if self.bus.region_durable is not None:
+            self.bus.region_durable(self, thread.rid)
         done()
 
     # -- accesses -----------------------------------------------------------------

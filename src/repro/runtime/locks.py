@@ -13,6 +13,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
 from repro.common.errors import SimulationError
+from repro.common.observe import ObserverBus
 from repro.engine import Scheduler
 
 #: cycles for an uncontended acquire/release (atomic RMW on a shared line)
@@ -24,7 +25,8 @@ class SimLock:
 
     _next_id = 0
 
-    def __init__(self, scheduler: Scheduler, name: Optional[str] = None):
+    def __init__(self, scheduler: Scheduler, name: Optional[str] = None,
+                 bus: Optional[ObserverBus] = None):
         self._scheduler = scheduler
         self.name = name or f"lock{SimLock._next_id}"
         SimLock._next_id += 1
@@ -32,15 +34,15 @@ class SimLock:
         self._waiters: Deque[Tuple[int, Callable[[], None]]] = deque()
         self.acquisitions = 0
         self.contended_acquisitions = 0
-        self.observer = None
+        self.bus = bus or ObserverBus()
 
     def acquire(self, thread_id: int, done: Callable[[], None]) -> None:
         """Take the lock; ``done`` runs once the thread holds it."""
         if self.holder is None:
             self.holder = thread_id
             self.acquisitions += 1
-            if self.observer is not None:
-                self.observer.lock_acquired(self, thread_id)
+            if self.bus.lock_acquired is not None:
+                self.bus.lock_acquired(self, thread_id)
             self._scheduler.after(_LOCK_OP_COST, done)
         else:
             if self.holder == thread_id:
@@ -56,14 +58,14 @@ class SimLock:
             raise SimulationError(
                 f"{self.name}: thread {thread_id} releasing lock held by {self.holder}"
             )
-        if self.observer is not None:
-            self.observer.lock_released(self, thread_id)
+        if self.bus.lock_released is not None:
+            self.bus.lock_released(self, thread_id)
         if self._waiters:
             next_thread, next_done = self._waiters.popleft()
             self.holder = next_thread
             self.acquisitions += 1
-            if self.observer is not None:
-                self.observer.lock_acquired(self, next_thread)
+            if self.bus.lock_acquired is not None:
+                self.bus.lock_acquired(self, next_thread)
             self._scheduler.after(_LOCK_OP_COST, next_done)
         else:
             self.holder = None

@@ -38,6 +38,7 @@ class ThreadExecutor:
         # tracer wraps ``Scheduler`` methods on the class.
         self._scheduler = machine.scheduler
         self._base_op_cost = machine.config.core.base_op_cost
+        self._bus = machine.bus
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
         # region accounting
@@ -67,7 +68,7 @@ class ThreadExecutor:
 
         Service workloads register a request's arrival cycle under this id
         *before* yielding the region, so the durable-commit notification
-        (``scheme.on_commit``) can be matched back to the request.
+        (the bus's ``region_durable``) can be matched back to the request.
         """
         return pack_rid(self.thread_id, self._local_region + 1)
 
@@ -183,10 +184,17 @@ class ThreadExecutor:
 
     def _do_begin(self) -> None:
         self._region_depth += 1
-        if self._region_depth == 1:
+        top_level = self._region_depth == 1
+        if top_level:
             self._local_region += 1
             self._region_start = self._scheduler.now
-        self.machine.scheme.begin(self.scheme_thread, lambda: self._charge_and_step())
+
+        def retired() -> None:
+            if top_level and self._bus.begin_retired is not None:
+                self._bus.begin_retired(self, self.current_rid)
+            self._charge_and_step()
+
+        self.machine.scheme.begin(self.scheme_thread, retired)
 
     def _do_end(self) -> None:
         if self._region_depth <= 0:
@@ -196,6 +204,8 @@ class ThreadExecutor:
 
         def after_end() -> None:
             if closing_top_level:
+                if self._bus.end_retired is not None:
+                    self._bus.end_retired(self, pack_rid(self.thread_id, self._local_region))
                 self.regions_completed += 1
                 self.region_cycles_total += self._scheduler.now - self._region_start
                 self._region_start = None

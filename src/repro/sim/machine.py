@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.common.errors import SimulationError
+from repro.common.observe import ObserverBus
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
@@ -23,40 +24,39 @@ class Machine:
 
     Construction order matters: images -> memory system -> hierarchy ->
     scheme attach. Workload threads are added with :meth:`spawn` and the
-    whole run is driven by :meth:`run`.
+    whole run is driven by :meth:`run`. Everything that watches the run,
+    the commit oracle included, subscribes to :attr:`bus`.
     """
 
     def __init__(self, config: SystemConfig, scheme: PersistenceScheme):
         self.config = config
         self.scheduler = Scheduler()
+        self.bus = ObserverBus()
         self.volatile = MemoryImage("volatile")
         self.pm_image = MemoryImage("pm")
         self.page_table = PageTable()
         self.heap = PersistentHeap(config.address_space, self.page_table)
         self.dram_heap = VolatileHeap(config.address_space)
-        self.memory = MemorySystem(config, self.scheduler, self.pm_image)
+        self.memory = MemorySystem(config, self.scheduler, self.pm_image, self.bus)
         self.hierarchy = CacheHierarchy(
             config,
             self.scheduler,
             self.memory,
             self.volatile,
             self.page_table.is_persistent,
+            self.bus,
         )
         self.scheme = scheme
-        self.oracle = CommitOracle()
+        self.oracle = self.bus.subscribe(CommitOracle())
         scheme.attach(self)
-        scheme.on_commit.append(self.oracle.on_commit)
         self.executors: List[ThreadExecutor] = []
-        self.locks: List[SimLock] = []
         self._next_thread_id = 0
         self.crashed = False
 
     # -- workload wiring -----------------------------------------------------
 
     def new_lock(self, name: Optional[str] = None) -> SimLock:
-        lock = SimLock(self.scheduler, name)
-        self.locks.append(lock)
-        return lock
+        return SimLock(self.scheduler, name, self.bus)
 
     def spawn(self, gen_fn: Callable, core_id: Optional[int] = None) -> ThreadExecutor:
         """Add a workload thread.

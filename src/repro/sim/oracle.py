@@ -17,11 +17,15 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, Set
 
+from repro.common.observe import SimObserver
 from repro.mem.image import MemoryImage
 
 
-class CommitOracle:
-    """Tracks per-region write-sets and the durable ("committed") image."""
+class CommitOracle(SimObserver):
+    """Tracks per-region write-sets and the durable ("committed") image.
+
+    Subscribed to its machine's observer bus for ``region_durable`` only.
+    """
 
     def __init__(self):
         self.committed = MemoryImage("oracle-committed")
@@ -37,7 +41,7 @@ class CommitOracle:
         self._region_writes.setdefault(rid, {}).update(words)
         self.tracked_words.update(words)
 
-    def on_commit(self, rid: int) -> None:
+    def region_durable(self, source, rid: int) -> None:
         """The scheme reports ``rid`` durable: fold its writes in."""
         self.committed.apply(self._region_writes.get(rid, {}))
         self.committed_rids.add(rid)

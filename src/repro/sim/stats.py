@@ -100,9 +100,8 @@ class RunResult:
             stall_breakdown=stalls,
             scheme_stats=getattr(machine.scheme, "stats", None),
         )
-        recorder = getattr(machine, "service_recorder", None)
-        if recorder is not None:
-            recorder.fill(result)
+        if machine.bus.result_collected is not None:
+            machine.bus.result_collected(machine, result)
         return result
 
     # -- derived metrics ------------------------------------------------------

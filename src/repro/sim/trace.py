@@ -1,14 +1,13 @@
 """Optional event tracing: a timeline of what the machine did.
 
-Attach a :class:`Tracer` to a machine before running and it records region
-lifecycles (begin / end-retired / committed) and persist-op completions,
-with cycle stamps. Used by the timeline tests to assert *when* things
-happen (e.g. End retires before commit under ASAP, after it under
-HWUndo), by the trace-dump CLI, and handy when debugging a scheme.
-
-The tracer hooks the executor layer (region events) and the scheme's
-commit notifications; persist-op events come from a WPQ accept/drain
-shim. Overhead is one list append per event; leave it off for benchmarks.
+A :class:`Tracer` subscribes to a machine's observer bus and records
+region lifecycles (begin and end retired, published by the thread
+executors; durably committed, published by every scheme) and persist-op
+lifecycles (accepted into a WPQ, then drained or dropped), with cycle
+stamps. Used by the timeline tests to assert *when* things happen (e.g.
+End retires before commit under ASAP, after it under HWUndo), and handy
+when debugging a scheme. Overhead is one list append per event; leave it
+off for benchmarks.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import io
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
+from repro.common.observe import SimObserver
 from repro.core.rid import unpack_rid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,94 +39,55 @@ class TraceEvent:
     thread_id: Optional[int] = None
     rid: Optional[int] = None
     detail: str = ""
+    #: the persist op's id, for the persist event kinds
+    op_id: Optional[int] = None
 
     def __str__(self) -> str:
         rid = f" {unpack_rid(self.rid)}" if self.rid is not None else ""
         return f"@{self.cycle:>8} {self.kind:<14}{rid} {self.detail}".rstrip()
 
 
-class Tracer:
-    """Records a machine's timeline. Attach before :meth:`Machine.run`."""
+class Tracer(SimObserver):
+    """Records a machine's timeline. Create before :meth:`Machine.run`."""
 
     def __init__(self, machine: "Machine", trace_persists: bool = True):
         self.machine = machine
+        self.trace_persists = trace_persists
         self.events: List[TraceEvent] = []
-        self._attach_regions()
-        if trace_persists:
-            self._attach_persists()
+        machine.bus.subscribe(self)
 
-    # -- hooks ---------------------------------------------------------------
+    # -- bus events ------------------------------------------------------------
+    #
+    # ``BEGIN``/``END`` stamp at *retirement*: ``END`` at the cycle the
+    # instruction stream proceeds past the region - which is what makes
+    # synchronous vs asynchronous commit visible as a commit-minus-end lag
+    # of zero vs positive.
 
-    def _attach_regions(self) -> None:
-        """Wrap the scheme's begin/end so events stamp at *retirement*.
+    def begin_retired(self, executor, rid) -> None:
+        self._record(BEGIN, rid, thread_id=executor.thread_id)
 
-        ``END`` at the cycle the instruction stream proceeds past the
-        region - which is what makes synchronous vs asynchronous commit
-        visible as a commit-minus-end lag of zero vs positive.
-        """
-        from repro.core.rid import pack_rid
+    def end_retired(self, executor, rid) -> None:
+        self._record(END, rid, thread_id=executor.thread_id)
 
-        machine = self.machine
-        scheme = machine.scheme
-        machine.scheme.on_commit.append(
-            lambda rid: self._record(COMMIT, rid=rid)
-        )
-        original_begin = scheme.begin
-        original_end = scheme.end
-        tracer = self
+    def region_durable(self, source, rid) -> None:
+        self._record(COMMIT, rid)
 
-        def traced_begin(thread, done):
-            top_level = thread.nest_depth == 0
+    def wpq_accepted(self, wpq, op) -> None:
+        self._persist(PERSIST_ACCEPT, wpq, op)
 
-            def retired():
-                if top_level:
-                    tracer._record(
-                        BEGIN,
-                        thread_id=thread.thread_id,
-                        rid=pack_rid(thread.thread_id, thread.regions_begun),
-                    )
-                done()
+    def wpq_drained(self, wpq, op) -> None:
+        self._persist(PERSIST_DRAIN, wpq, op)
 
-            original_begin(thread, retired)
+    def wpq_dropped(self, wpq, op) -> None:
+        self._persist(PERSIST_DROP, wpq, op)
 
-        def traced_end(thread, done):
-            top_level = thread.nest_depth == 1
-            rid = pack_rid(thread.thread_id, thread.regions_begun)
+    def _persist(self, kind: str, wpq, op) -> None:
+        if self.trace_persists:
+            channel = self.machine.memory.channel_for_line(op.target_line)
+            detail = f"{op.kind} ch{channel.index}"
+            self._record(kind, op.rid, detail=detail, op_id=op.op_id)
 
-            def retired():
-                if top_level:
-                    tracer._record(END, thread_id=thread.thread_id, rid=rid)
-                done()
-
-            original_end(thread, retired)
-
-        scheme.begin = traced_begin
-        scheme.end = traced_end
-
-    def _attach_persists(self) -> None:
-        for channel in self.machine.memory.channels:
-            wpq = channel.wpq
-            original_accept = wpq._accept
-            original_drain_hook = wpq._on_drain
-            tracer = self
-
-            def traced_accept(op, _orig=original_accept, ch=channel.index):
-                tracer._record(
-                    PERSIST_ACCEPT, rid=op.rid, detail=f"{op.kind} ch{ch}"
-                )
-                _orig(op)
-
-            def traced_drain(op, _orig=original_drain_hook, ch=channel.index):
-                tracer._record(
-                    PERSIST_DRAIN, rid=op.rid, detail=f"{op.kind} ch{ch}"
-                )
-                if _orig is not None:
-                    _orig(op)
-
-            wpq._accept = traced_accept
-            wpq._on_drain = traced_drain
-
-    def _record(self, kind: str, thread_id=None, rid=None, detail="") -> None:
+    def _record(self, kind: str, rid, thread_id=None, detail="", op_id=None) -> None:
         self.events.append(
             TraceEvent(
                 cycle=self.machine.scheduler.now,
@@ -134,6 +95,7 @@ class Tracer:
                 thread_id=thread_id,
                 rid=rid,
                 detail=detail,
+                op_id=op_id,
             )
         )
 

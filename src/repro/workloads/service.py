@@ -21,7 +21,7 @@ This module adds that regime on top of the existing PM-backed stores:
   contended-lock x persist-ordering interaction.
 * **Latency recording**: GET latency is recorded when the last read
   retires; PUT latency when the request's atomic region becomes
-  *durable* (the scheme's ``on_commit`` notification), not when ``End``
+  *durable* (the bus's ``region_durable`` event), not when ``End``
   retires - for asynchronous-persistence schemes these differ by design.
 * **Fixed-bucket histogram**: latencies land in log-spaced buckets (8
   sub-buckets per octave, <= 12.5% relative error) so percentiles are
@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.common.observe import SimObserver
 from repro.sim.machine import Machine
 from repro.sim.ops import Compute
 from repro.workloads.base import Workload, WorkloadParams, register
@@ -187,11 +188,11 @@ class LatencyHistogram:
 # -- recorder --------------------------------------------------------------
 
 
-class ServiceRecorder:
-    """Per-request latency bookkeeping attached to a running machine.
+class ServiceRecorder(SimObserver):
+    """Per-request latency bookkeeping subscribed to a machine's bus.
 
     PUT requests register their upcoming region id before yielding it;
-    the scheme's durable-commit notification resolves the id back to the
+    the scheme's durable-commit event resolves the id back to the
     arrival cycle. GET latencies are recorded inline by the worker.
     """
 
@@ -204,7 +205,7 @@ class ServiceRecorder:
     def register(self, rid: int, arrival: int) -> None:
         self.pending[rid] = arrival
 
-    def on_commit(self, rid: int) -> None:
+    def region_durable(self, source, rid: int) -> None:
         arrival = self.pending.pop(rid, None)
         if arrival is not None:
             self.record(self.machine.scheduler.now - arrival)
@@ -212,7 +213,7 @@ class ServiceRecorder:
     def record(self, latency: int) -> None:
         self.histogram.record(latency)
 
-    def fill(self, result) -> None:
+    def result_collected(self, machine, result) -> None:
         """Populate the service fields of a collected ``RunResult``."""
         hist = self.histogram
         result.latency_histogram = hist.as_dict()
@@ -289,12 +290,9 @@ class ServiceWorkload(Workload):
         # run the same op streams there, minus waits and latency recording.
         recorder: Optional[ServiceRecorder] = None
         if getattr(machine, "scheme", None) is not None:
-            if getattr(machine, "service_recorder", None) is not None:
+            if any(isinstance(s, ServiceRecorder) for s in machine.bus.subscribers):
                 raise ConfigError("only one service tenant per machine")
-            recorder = ServiceRecorder(machine, params)
-            machine.service_recorder = recorder
-            machine.scheme.on_commit.append(recorder.on_commit)
-        self.recorder = recorder
+            recorder = machine.bus.subscribe(ServiceRecorder(machine, params))
 
         num_threads = params.num_threads
 

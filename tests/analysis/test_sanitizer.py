@@ -297,6 +297,34 @@ def test_baseline_scheme_gets_scheme_agnostic_hooks_only():
     assert san.violations == []
 
 
+@pytest.mark.parametrize("sanitizer_first", [True, False])
+@pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
+def test_sanitizer_and_race_tracer_share_one_machine(scheme, sanitizer_first):
+    # Both subscribe to the machine's one observer bus, so attaching the
+    # second must not detach the first from any event it sees alone.
+    from repro.analysis.races import RaceTracer
+    from repro.common.params import SystemConfig
+    from repro.harness.runner import build_machine
+
+    def run(*watchers):
+        machine = build_machine("HM", scheme, SystemConfig.small(), default_params())
+        attached = [make().attach(machine) for make in watchers]
+        machine.run()
+        return attached
+
+    (alone_san,) = run(collecting)
+    (alone_tracer,) = run(RaceTracer)
+    if sanitizer_first:
+        san, tracer = run(collecting, RaceTracer)
+    else:
+        tracer, san = run(RaceTracer, collecting)
+    assert alone_san.events_checked > 0 and alone_tracer.events > 0
+    assert san.events_checked == alone_san.events_checked
+    assert san.violations == alone_san.violations == []
+    assert tracer.events == alone_tracer.events
+    assert len(tracer.nodes) == len(alone_tracer.nodes)
+
+
 def test_skipped_lpo_is_caught_end_to_end(monkeypatch):
     # Break the WAL contract for real: never issue the LPO, so the first
     # DPO of every region reaches a WPQ with no durable log entry.

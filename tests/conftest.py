@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
 from repro.persist import make_scheme, scheme_names
 from repro.sim.machine import Machine
@@ -21,6 +22,23 @@ def make_machine():
         return Machine(SystemConfig.small(**config_kwargs), make_scheme(scheme))
 
     return factory
+
+
+class CommitLog(SimObserver):
+    """Packed ids of the regions a machine made durable, in commit order."""
+
+    def __init__(self):
+        self.rids = []
+
+    def region_durable(self, source, rid):
+        self.rids.append(rid)
+
+
+@pytest.fixture
+def commits_of():
+    """Factory: commits_of(machine) -> the list of rids that machine's
+    bus reports durable, filled in as the run commits them."""
+    return lambda machine: machine.bus.subscribe(CommitLog()).rids
 
 
 def counter_worker(machine, addr, iterations, lock=None, lines=1):

@@ -24,7 +24,7 @@ def build():
     return m, eng
 
 
-def test_fig6_walkthrough():
+def test_fig6_walkthrough(commits_of):
     m, eng = build()
     a = m.heap.alloc(64)
     b = m.heap.alloc(64)
@@ -34,8 +34,7 @@ def test_fig6_walkthrough():
     r1 = pack_rid(0, 1)
     r2 = pack_rid(1, 1)
     observations = {}
-    commit_order = []
-    eng.on_commit.append(commit_order.append)
+    commit_order = commits_of(m)
 
     def thread1(env):
         yield Lock(x)
@@ -82,15 +81,14 @@ def test_fig6_walkthrough():
     assert m.pm_image.read_word(b) == 201
 
 
-def test_fig2a_scenario_is_prevented():
+def test_fig2a_scenario_is_prevented(commits_of):
     """Fig. 2a: without enforcement, Y could persist while X's LPO is
     lost. With ASAP, region 2 (writing Y) cannot commit before region 1
     (writing X)."""
     m, eng = build()
     x_addr = m.heap.alloc(64)
     y_addr = m.heap.alloc(64)
-    commit_order = []
-    eng.on_commit.append(commit_order.append)
+    commit_order = commits_of(m)
 
     def thread(env):
         yield Begin()

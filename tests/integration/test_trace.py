@@ -1,12 +1,22 @@
 """Timeline tests using the tracer: *when* things happen, per scheme."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.persist import make_scheme
+from repro.persist import make_scheme, scheme_names
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Write
-from repro.sim.trace import BEGIN, COMMIT, END, PERSIST_ACCEPT, PERSIST_DRAIN, Tracer
+from repro.sim.trace import (
+    BEGIN,
+    COMMIT,
+    END,
+    PERSIST_ACCEPT,
+    PERSIST_DRAIN,
+    PERSIST_DROP,
+    Tracer,
+)
 
 
 def run_traced(scheme, regions=6, **kwargs):
@@ -25,8 +35,9 @@ def run_traced(scheme, regions=6, **kwargs):
     return m, tracer
 
 
-def test_trace_records_all_region_events():
-    m, tracer = run_traced("asap")
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_trace_records_all_region_events(scheme):
+    m, tracer = run_traced(scheme)
     assert len(tracer.of_kind(BEGIN)) == 6
     assert len(tracer.of_kind(END)) == 6
     assert len(tracer.of_kind(COMMIT)) == 6
@@ -60,6 +71,20 @@ def test_persist_events_captured():
     assert any("dpo" in e.detail for e in accepts)
     # drains may be fewer than accepts (drops), never more
     assert len(tracer.of_kind(PERSIST_DRAIN)) <= len(accepts)
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_every_accepted_persist_is_drained_or_dropped(scheme):
+    m, tracer = run_traced(scheme)
+    accepted = Counter(e.op_id for e in tracer.of_kind(PERSIST_ACCEPT))
+    ended = Counter(
+        e.op_id for e in tracer.events if e.kind in (PERSIST_DRAIN, PERSIST_DROP)
+    )
+    assert all(n == 1 for n in accepted.values())
+    assert {op: ended[op] for op in accepted} == accepted
+    if scheme == "asap":
+        # LPO dropping (Sec. 5.1): committed regions' queued log writes
+        assert tracer.of_kind(PERSIST_DROP)
 
 
 def test_region_timeline_query():

@@ -36,11 +36,10 @@ def test_end_retires_before_commit():
     assert eng.stats.commits == 1  # but committed by quiescence
 
 
-def test_control_dependence_orders_same_thread_commits():
+def test_control_dependence_orders_same_thread_commits(commits_of):
     m, eng = make()
     a = m.heap.alloc(256)
-    commit_order = []
-    eng.on_commit.append(lambda rid: commit_order.append(rid))
+    commit_order = commits_of(m)
 
     def worker(env):
         for i in range(5):
@@ -54,7 +53,7 @@ def test_control_dependence_orders_same_thread_commits():
     assert len(commit_order) == 5
 
 
-def test_data_dependence_across_threads():
+def test_data_dependence_across_threads(commits_of):
     """Fig. 2(ii): a consumer region must not commit before its producer.
 
     A one-entry WPQ keeps the producer's persist operations outstanding
@@ -64,8 +63,7 @@ def test_data_dependence_across_threads():
     m, eng = make(wpq_entries=1)
     a = m.heap.alloc(64 * 8)
     lock = m.new_lock()
-    commit_order = []
-    eng.on_commit.append(lambda rid: commit_order.append(rid))
+    commit_order = commits_of(m)
 
     def producer(env):
         yield Lock(lock)

@@ -16,11 +16,10 @@ def make(**kwargs):
     return m, m.heap.alloc(64 * 16)
 
 
-def test_end_is_asynchronous():
+def test_end_is_asynchronous(commits_of):
     m, a = make()
     t = {}
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    commits = commits_of(m)
 
     def worker(env):
         yield Begin()
@@ -34,10 +33,9 @@ def test_end_is_asynchronous():
     assert len(commits) == 1
 
 
-def test_commit_order_follows_control_dependence():
+def test_commit_order_follows_control_dependence(commits_of):
     m, a = make()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    commits = commits_of(m)
 
     def worker(env):
         for i in range(5):
@@ -50,11 +48,10 @@ def test_commit_order_follows_control_dependence():
     assert commits == sorted(commits)
 
 
-def test_data_dependence_across_threads():
+def test_data_dependence_across_threads(commits_of):
     m, a = make(wpq_entries=1)
     lock = m.new_lock()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    commits = commits_of(m)
 
     def producer(env):
         yield Lock(lock)
@@ -110,10 +107,9 @@ def test_in_place_updates_carry_logged_values_only():
     assert m.oracle.mismatches(m.pm_image) == []
 
 
-def test_fence_blocks_until_marker_durable():
+def test_fence_blocks_until_marker_durable(commits_of):
     m, a = make()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    commits = commits_of(m)
     t = {}
 
     def worker(env):

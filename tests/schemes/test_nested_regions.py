@@ -44,12 +44,11 @@ def test_nested_region_is_atomic_as_a_whole(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
-def test_inner_end_does_not_trigger_commit(scheme):
+def test_inner_end_does_not_trigger_commit(scheme, commits_of):
     m = Machine(SystemConfig.small(), make_scheme(scheme))
     a = m.heap.alloc(128)
     seen = {}
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    commits = commits_of(m)
 
     def worker(env):
         yield Begin()

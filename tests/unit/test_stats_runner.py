@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.common.params import SystemConfig
 from repro.harness.runner import default_config, default_params, run_once
 from repro.persist.base import PersistenceScheme, SchemeThread
+from repro.sim.machine import Machine
 from repro.sim.stats import RunResult
 
 
@@ -88,7 +90,7 @@ def test_default_params_sizes():
     assert default_params(False).ops_per_thread > default_params(True).ops_per_thread
 
 
-def test_scheme_base_defaults():
+def test_scheme_base_defaults(commits_of):
     class Dummy(PersistenceScheme):
         name = "dummy"
 
@@ -116,9 +118,8 @@ def test_scheme_base_defaults():
     scheme.crash_flush()  # default no-op
     assert calls == ["fence", "migrate", "quiescent"]
     assert thread.core_id == 3
-    seen = []
-    scheme.on_commit.append(seen.append)
-    scheme._notify_commit(42)
+    seen = commits_of(Machine(SystemConfig.small(), scheme))
+    scheme.bus.region_durable(scheme, 42)
     assert seen == [42]
 
 
