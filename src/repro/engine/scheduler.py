@@ -7,104 +7,65 @@ cycle. Callbacks scheduled for the same cycle run in scheduling order
 
 from __future__ import annotations
 
-import heapq
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.common.errors import SimulationError
 
-
-class _Event:
-    """A scheduled callback.
-
-    Its position in its cycle's bucket gives its FIFO order, so it needs
-    no sequence number; ``time`` is kept because the WPQ's expedite logic
-    reads the pending drain event's deadline.
-    """
-
-    __slots__ = ("time", "fn", "cancelled")
-
-    def __init__(self, time: int, fn: Callable[[], Any]):
-        self.time = time
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; cheap (lazy deletion)."""
-        self.cancelled = True
+#: A scheduled event: ``[time, seq, fn]``. The list is also the handle
+#: :meth:`Scheduler.at` returns; ``fn`` is ``None`` once cancelled.
+Event = List[Any]
 
 
 class Scheduler:
     """A deterministic discrete-event scheduler with an integer clock.
 
-    Events fire in ``(time, scheduling order)`` order. Same-cycle events
-    dominate the event mix (a completed access wakes its dependents at the
-    same cycle), so instead of one heap of events ordered by ``(time,
-    seq)`` the queue keeps one FIFO list ("bucket") per distinct cycle and
-    a heap of the distinct cycles only: an append replaces a heap push.
-    Buckets drain through a cursor, so an event at ``now`` scheduling
-    another event at ``now`` lands behind the cursor - exactly where a
-    larger sequence number would have put it.
-
-    A cycle leaves the heap only once its bucket is exhausted: popping it
-    early would pin the head and let a later ``at(t')`` with
-    ``now <= t' < head`` be ordered behind it.
+    Events fire in ``(time, seq)`` order, where ``seq`` counts scheduling
+    calls, so same-cycle events run in the order they were scheduled. The
+    queue is one heap of ``[time, seq, fn]`` lists. ``(time, seq)`` is
+    unique, so the heap never compares callbacks, and cancelling an event
+    only clears its ``fn`` slot (lazy deletion): a cancelled entry is
+    dropped when it reaches the top, without advancing the clock.
     """
 
     def __init__(self):
         self.now: int = 0
-        self._buckets: Dict[int, List[_Event]] = {}
-        #: index of the next unfired event of a partly drained bucket
-        self._cursors: Dict[int, int] = {}
-        #: heap of the cycles that have a bucket
-        self._times: List[int] = []
+        self._heap: List[Event] = []
+        self._seq = 0
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for t, bucket in self._buckets.items()
-            for ev in bucket[self._cursors.get(t, 0) :]
-            if not ev.cancelled
-        )
+        return sum(1 for ev in self._heap if ev[2] is not None)
 
-    def at(self, time: int, fn: Callable[[], Any]) -> _Event:
+    def at(self, time: int, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` to run at absolute cycle ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (now={self.now}, time={time})"
             )
-        time = int(time)
-        ev = _Event(time, fn)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [ev]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(ev)
+        ev = [int(time), self._seq, fn]
+        self._seq += 1
+        heappush(self._heap, ev)
         return ev
 
-    def after(self, delay: int, fn: Callable[[], Any]) -> _Event:
+    def after(self, delay: int, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.at(self.now + int(delay), fn)
 
+    @staticmethod
+    def cancel(ev: Event) -> None:
+        """Prevent a scheduled event from firing; a fired one is unaffected."""
+        ev[2] = None
+
     def peek_time(self) -> Optional[int]:
         """Return the cycle of the next pending event, or None when idle."""
-        while self._times:
-            t = self._times[0]
-            bucket = self._buckets[t]
-            i = self._cursors.get(t, 0)
-            n = len(bucket)
-            while i < n and bucket[i].cancelled:
-                i += 1
-            if i < n:
-                if i:
-                    self._cursors[t] = i
-                return t
-            del self._buckets[t]
-            self._cursors.pop(t, None)
-            heapq.heappop(self._times)
+        heap = self._heap
+        while heap:
+            if heap[0][2] is not None:
+                return heap[0][0]
+            heappop(heap)
         return None
 
     def step(self) -> bool:
@@ -112,20 +73,16 @@ class Scheduler:
         t = self.peek_time()
         if t is None:
             return False
-        i = self._cursors.get(t, 0)
-        ev = self._buckets[t][i]
-        self._cursors[t] = i + 1
+        fn = heappop(self._heap)[2]
         self.now = t
-        ev.fn()
+        fn()
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event queue, one bucket at a time.
+        """Drain the event queue.
 
         Fires events exactly as :meth:`step` in a loop would, without the
-        per-event peek. Callbacks may append to the bucket being drained
-        (its length is re-read after every fire) and schedule any future
-        cycle (the heap is consulted only between buckets).
+        per-event peek.
 
         Args:
             until: stop once the clock would pass this cycle (events at
@@ -137,38 +94,26 @@ class Scheduler:
         """
         executed = 0
         limit = sys.maxsize if max_events is None else max_events
-        buckets = self._buckets
-        cursors = self._cursors
-        times = self._times
-        while times:
-            t = times[0]
-            if until is not None and t > until:
-                break
-            bucket = buckets[t]
-            i = cursors.get(t, 0)
-            n = len(bucket)
-            if i >= n:
-                del buckets[t]
-                cursors.pop(t, None)
-                heapq.heappop(times)
+        bound = sys.maxsize if until is None else until
+        heap = self._heap
+        while heap:
+            t, _, fn = heap[0]
+            if fn is None:
+                # The clock does not advance for a cancelled event: a
+                # cancelled drain tick can be the queue's last entry, and
+                # the final clock value is part of the RunResult.
+                heappop(heap)
                 continue
-            while i < n:
-                ev = bucket[i]
-                i += 1
-                cursors[t] = i
-                if ev.cancelled:
-                    # The clock does not advance for a cancelled event: a
-                    # cancelled drain tick can be the queue's last entry,
-                    # and the final clock value is part of the RunResult.
-                    continue
-                if executed >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock"
-                    )
-                self.now = t
-                ev.fn()
-                executed += 1
-                n = len(bucket)
+            if t > bound:
+                break
+            if executed >= limit:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; possible livelock"
+                )
+            heappop(heap)
+            self.now = t
+            fn()
+            executed += 1
         if until is not None and self.now < until:
             # Idle until the bound (the next event, if any, is beyond it).
             self.now = until

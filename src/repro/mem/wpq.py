@@ -294,8 +294,8 @@ class WritePendingQueue:
             # the drain, not expedite it.
             if self._draining and self._drain_event is not None:
                 if self._drain_gate is None:
-                    remaining = self._drain_event.time - self._scheduler.now
-                    self._drain_event.cancel()
+                    remaining = self._drain_event[0] - self._scheduler.now
+                    self._scheduler.cancel(self._drain_event)
                     self._drain_event = self._scheduler.after(
                         min(remaining, self._write_service()), self._drain_one
                     )
@@ -303,7 +303,7 @@ class WritePendingQueue:
                     # Gated: skip the rest of the lazy slack and contend
                     # for the bus now. "waiting"/"holding" are already as
                     # fast as the token allows.
-                    self._drain_event.cancel()
+                    self._scheduler.cancel(self._drain_event)
                     self._drain_event = None
                     self._gate_request()
         self.accepted += 1

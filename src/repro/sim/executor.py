@@ -34,6 +34,8 @@ class ThreadExecutor:
         self.core_id = core_id
         self._gen_fn = gen_fn
         self._gen: Optional[Iterator] = None
+        #: the value the generator receives at its next step
+        self._result = None
         # The scheduler object, not its bound methods: the benchmark's
         # tracer wraps ``Scheduler`` methods on the class.
         self._scheduler = machine.scheduler
@@ -77,9 +79,16 @@ class ThreadExecutor:
     def start(self) -> None:
         self._gen = self._gen_fn(self)
         self.start_cycle = self._scheduler.now
-        self._scheduler.after(0, lambda: self._step(None))
+        self._scheduler.after(0, self._resume)
 
-    def _step(self, result) -> None:
+    def _resume(self) -> None:
+        """Send the pending op's result into the generator; dispatch the next op.
+
+        A thread has exactly one step pending at a time, so its result is
+        kept in ``_result`` instead of in a closure per op.
+        """
+        result = self._result
+        self._result = None
         if self.machine.crashed or self.finished:
             return
         try:
@@ -92,7 +101,8 @@ class ThreadExecutor:
         self._dispatch(op)
 
     def _charge_and_step(self, result=None) -> None:
-        self._scheduler.after(self._base_op_cost, lambda: self._step(result))
+        self._result = result
+        self._scheduler.after(self._base_op_cost, self._resume)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -103,7 +113,7 @@ class ThreadExecutor:
         if kind is Read:
             self._do_read(op.addr, op.nwords)
         elif kind is Compute:
-            self._scheduler.after(max(0, op.cycles), lambda: self._step(None))
+            self._scheduler.after(max(0, op.cycles), self._resume)
         elif kind is Write:
             self._do_write(op.addr, list(op.values))
         elif kind is Begin:
@@ -111,11 +121,11 @@ class ThreadExecutor:
         elif kind is End:
             self._do_end()
         elif kind is Lock:
-            op.lock.acquire(self.thread_id, lambda: self._charge_and_step())
+            op.lock.acquire(self.thread_id, self._charge_and_step)
         elif kind is Unlock:
-            op.lock.release(self.thread_id, lambda: self._charge_and_step())
+            op.lock.release(self.thread_id, self._charge_and_step)
         elif kind is Fence:
-            self.machine.scheme.fence(self.scheme_thread, lambda: self._charge_and_step())
+            self.machine.scheme.fence(self.scheme_thread, self._charge_and_step)
         elif kind is Migrate:
             self._do_migrate(op.core_id)
         else:

@@ -106,13 +106,15 @@ class Machine:
         until: Optional[int] = None,
         max_events: int = 200_000_000,
     ) -> RunResult:
-        """Start every thread and drain the event queue.
+        """Start every thread not yet started and drain the event queue.
 
-        Returns the :class:`RunResult` with cycles, region latencies, and
-        PM traffic. Raises on deadlock (threads unfinished, no events).
+        A run stopped at ``until`` resumes where it stopped on the next
+        call. Returns the :class:`RunResult` with cycles, region latencies,
+        and PM traffic. Raises on deadlock (threads unfinished, no events).
         """
         for executor in self.executors:
-            executor.start()
+            if executor.start_cycle is None:
+                executor.start()
         self.scheduler.run(until=until, max_events=max_events)
         if until is None and not self.crashed:
             unfinished = [e.thread_id for e in self.executors if not e.finished]

@@ -204,3 +204,53 @@ def test_every_read_yields_a_fresh_list(scheme):
     _, results = run_reads(scheme, ops_at)
     assert results == [[1, 2], [1, 2], [0, 0]]
     assert len({id(r) for r in results}) == len(results)
+
+
+@pytest.mark.parametrize("scheme", ["np", "sw", "hwundo", "hwredo", "eadr", "asap", "asap_redo"])
+def test_resume_hands_each_op_its_own_result(scheme):
+    # Every op's result reaches the generator through ThreadExecutor._resume,
+    # which must clear it: Compute right after a Read must still get None.
+    m = make_machine(scheme)
+    a = m.heap.alloc(256)
+    lock = m.new_lock()
+    ops = [
+        Lock(lock),
+        Begin(),
+        Write(a, [1, 2]),
+        Write(a + 56, [3, 4]),
+        Read(a, 2),
+        Compute(5),
+        Read(a + 56, 2),
+        Compute(0),
+        Read(a, 0),
+        End(),
+        Unlock(lock),
+        Read(a + 8, 1),
+        Fence(),
+    ]
+    received, pending = [], []
+
+    def worker(env):
+        for op in ops:
+            received.append((type(op).__name__, (yield op)))
+            pending.append(env._result)
+
+    executor = m.spawn(worker)
+    m.run()
+    assert received == [
+        ("Lock", None),
+        ("Begin", None),
+        ("Write", None),
+        ("Write", None),
+        ("Read", [1, 2]),
+        ("Compute", None),
+        ("Read", [3, 4]),
+        ("Compute", None),
+        ("Read", []),
+        ("End", None),
+        ("Unlock", None),
+        ("Read", [2]),
+        ("Fence", None),
+    ]
+    assert pending == [None] * len(ops)
+    assert executor._result is None

@@ -61,7 +61,7 @@ def test_cancelled_event_does_not_fire():
     seen = []
     ev = s.at(10, lambda: seen.append("cancelled"))
     s.at(10, lambda: seen.append("kept"))
-    ev.cancel()
+    s.cancel(ev)
     s.run()
     assert seen == ["kept"]
 
@@ -110,7 +110,7 @@ def test_peek_time_skips_cancelled():
     s = Scheduler()
     ev = s.at(5, lambda: None)
     s.at(9, lambda: None)
-    ev.cancel()
+    s.cancel(ev)
     assert s.peek_time() == 9
 
 
@@ -119,7 +119,7 @@ def test_len_counts_live_events():
     ev = s.at(5, lambda: None)
     s.at(6, lambda: None)
     assert len(s) == 2
-    ev.cancel()
+    s.cancel(ev)
     assert len(s) == 1
 
 
@@ -145,6 +145,9 @@ class _HeapModel:
     def __init__(self):
         self.now, self.seq, self.queue = 0, 0, []
 
+    def __len__(self):
+        return sum(1 for ev in self.queue if not ev[3])
+
     def at(self, time, fn):
         ev = [time, self.seq, fn, False]
         self.seq += 1
@@ -154,7 +157,24 @@ class _HeapModel:
     def after(self, delay, fn):
         return self.at(self.now + delay, fn)
 
+    def cancel(self, ev):
+        ev[3] = True
+
+    def peek_time(self):
+        while self.queue and self.queue[0][3]:
+            heapq.heappop(self.queue)
+        return self.queue[0][0] if self.queue else None
+
+    def step(self):
+        if self.peek_time() is None:
+            return False
+        ev = heapq.heappop(self.queue)
+        self.now = ev[0]
+        ev[2]()
+        return True
+
     def run(self, until=None):
+        executed = 0
         while self.queue:
             if self.queue[0][3]:
                 heapq.heappop(self.queue)
@@ -164,15 +184,10 @@ class _HeapModel:
                 ev = heapq.heappop(self.queue)
                 self.now = ev[0]
                 ev[2]()
+                executed += 1
         if until is not None and self.now < until:
             self.now = until
-
-
-def _cancel(ev):
-    if isinstance(ev, list):
-        ev[3] = True
-    else:
-        ev.cancel()
+        return executed
 
 
 #: one action an event performs when it fires: schedule a child with
@@ -183,16 +198,25 @@ _action = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 8)),
 )
 
+#: one call `_drive` makes between events: run to a bound (None drains
+#: the queue), fire one event, or read the next event's cycle or the
+#: number of live events
+_command = st.one_of(
+    st.tuples(st.just("run"), st.one_of(st.none(), st.integers(0, 40))),
+    st.tuples(st.sampled_from(["step", "peek_time", "len"]), st.none()),
+)
 
-def _drive(sched, roots, root_cancels, plan, untils):
-    """Run one schedule; return the firing log and the clock after each run."""
+
+def _drive(sched, roots, root_cancels, plan, commands):
+    """Run one schedule; return what each command saw, with the firing
+    log and the clock after it."""
     log, events, observed = [], [], []
 
     def perform(action):
         kind, arg = action
         if kind == "cancel":
             if arg < len(events):
-                _cancel(events[-1 - arg])
+                sched.cancel(events[-1 - arg])
         elif len(events) < 120:
             schedule(kind, arg)
 
@@ -213,9 +237,16 @@ def _drive(sched, roots, root_cancels, plan, untils):
         schedule(kind, time)
     for back in root_cancels:
         perform(("cancel", back))
-    for until in untils:
-        sched.run(until=until)
-        observed.append((list(log), sched.now))
+    for command, arg in commands:
+        if command == "run":
+            seen = sched.run(until=arg)
+        elif command == "step":
+            seen = sched.step()
+        elif command == "peek_time":
+            seen = sched.peek_time()
+        else:
+            seen = len(sched)
+        observed.append((command, seen, list(log), sched.now))
     return observed
 
 
@@ -228,18 +259,31 @@ def _drive(sched, roots, root_cancels, plan, untils):
     ),
     root_cancels=st.lists(st.integers(0, 8), max_size=3),
     plan=st.lists(st.lists(_action, max_size=3), min_size=1, max_size=6),
-    untils=st.lists(st.one_of(st.none(), st.integers(0, 40)), min_size=1, max_size=3),
+    commands=st.lists(_command, min_size=1, max_size=8),
 )
-def test_bucket_queue_matches_heap_model(roots, root_cancels, plan, untils):
-    untils = untils + [None]
-    assert _drive(Scheduler(), roots, root_cancels, plan, untils) == _drive(
-        _HeapModel(), roots, root_cancels, plan, untils
+def test_scheduler_matches_heap_model(roots, root_cancels, plan, commands):
+    commands = commands + [("len", None), ("run", None), ("peek_time", None)]
+    assert _drive(Scheduler(), roots, root_cancels, plan, commands) == _drive(
+        _HeapModel(), roots, root_cancels, plan, commands
     )
+
+
+def test_cancelling_a_fired_event_is_harmless():
+    s = Scheduler()
+    seen = []
+    ev = s.at(3, lambda: seen.append(3))
+    s.at(5, lambda: seen.append(5))
+    s.run(until=4)
+    s.cancel(ev)
+    assert len(s) == 1
+    s.run()
+    assert seen == [3, 5]
+    assert s.now == 5
 
 
 def test_cancelled_last_event_does_not_advance_clock():
     s = Scheduler()
     s.at(5, lambda: None)
-    s.at(9, lambda: None).cancel()
+    s.cancel(s.at(9, lambda: None))
     s.run()
     assert s.now == 5
